@@ -118,7 +118,10 @@ pub async fn run_coordinator<T: Transport>(
     let mut outcome: Option<SessionOutcome> = None;
 
     let deadline = rt::now() + cfg.deadline;
-    let tick = cfg.retransmit.min(Duration::from_millis(10));
+    // Re-check interval for a `Start` the node's flow budget deferred:
+    // the only wait with no deadline of its own (it ends when the
+    // window frees), polled only while one is pending.
+    let recheck = cfg.retransmit.min(Duration::from_millis(10));
     // Socket send failures are counted node-wide by the transport; the
     // session's trace carries the delta over its own lifetime.
     let send_errors_at_start = t.send_errors();
@@ -177,7 +180,7 @@ pub async fn run_coordinator<T: Transport>(
     let send_errs = |t: &SharedTransport<T>| t.send_errors().saturating_sub(send_errors_at_start);
 
     loop {
-        if rt::now() > deadline {
+        if rt::now() >= deadline {
             if matches!(phase, Phase::FinBarrier { .. }) {
                 if let Some(out) = outcome.take() {
                     return Ok(finish(out, z_sent, send_errs(&t)));
@@ -187,7 +190,24 @@ pub async fn run_coordinator<T: Transport>(
             return Ok(abort(reason, &reports, outcome, z_sent, send_errs(&t)));
         }
 
-        match rt::timeout(tick, rx.recv()).await {
+        // Sleep until the earliest real deadline — a retransmission
+        // due, the end of the x-settle window, the next fountain top-up,
+        // the session deadline — or until a frame arrives. Every
+        // deadline below is acted on at `now >= it` and then moves into
+        // the future, so no wait repeats at the same instant.
+        let mut wake = deadline;
+        if let Some(due) = rel.next_due() {
+            wake = wake.min(due);
+        }
+        if rel.has_deferred() {
+            wake = wake.min(rt::now() + recheck);
+        }
+        match &phase {
+            Phase::XSettle { until } => wake = wake.min(*until),
+            Phase::Fountain { next_combo } if !fountain.is_empty() => wake = wake.min(*next_combo),
+            _ => {}
+        }
+        match rt::timeout_at(wake, rx.recv()).await {
             Err(rt::Elapsed) => {}
             Ok(None) => return Err(NetError::Closed),
             Ok(Some(frame)) => {
@@ -340,7 +360,8 @@ pub async fn run_coordinator<T: Transport>(
                         return Ok(abort(reason, &reports, outcome, z_sent, send_errs(&t)));
                     }
                     // An initial burst covers the worst-case missing-row
-                    // count; afterwards one combo per tick tops up losses.
+                    // count; afterwards one combo per retransmit interval
+                    // tops up losses.
                     let burst = if z_sent == 0 { (fountain.z_count() + 3) as u32 } else { 1 };
                     for _ in 0..burst {
                         // Combo indices ride the wire as u16; a fountain

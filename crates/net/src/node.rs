@@ -3,8 +3,10 @@
 //! A daemon owns a single socket; the pump task reads frames and routes
 //! them by session id to whichever session state machines are open —
 //! that's how one `thinaird` process multiplexes many concurrent group
-//! rounds ("session-id routing"). Frames for unknown sessions are
-//! dropped and counted.
+//! rounds ("session-id routing"). A terminal session that completed
+//! enters the pump's TIME_WAIT window ([`TimeWait`]): until its
+//! deadline, a late reliable frame from its coordinator is re-acked.
+//! Other frames for unknown sessions are dropped and counted.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -12,6 +14,7 @@ use std::rc::Rc;
 
 use crate::coordinator::run_coordinator;
 use crate::frame::Frame;
+use crate::reliable::TimeWait;
 use crate::rt;
 use crate::rt::chan::{channel, Receiver, Sender};
 use crate::session::{NetError, SessionConfig, SessionOutcome};
@@ -21,6 +24,8 @@ use crate::transport::{SharedTransport, Transport};
 struct Routes {
     by_session: BTreeMap<u64, Sender<Frame>>,
     orphans: u64,
+    /// Terminal sessions that completed here, re-acking late frames.
+    time_wait: TimeWait,
 }
 
 /// One protocol node over one transport.
@@ -44,10 +49,8 @@ impl<T: Transport + 'static> Node<T> {
     /// Wraps an already-shared transport (e.g. when a harness keeps its
     /// own handle to read counters after the node is done).
     pub fn new_shared(t: SharedTransport<T>) -> Self {
-        Node {
-            t,
-            routes: Rc::new(RefCell::new(Routes { by_session: BTreeMap::new(), orphans: 0 })),
-        }
+        let routes = Routes { by_session: BTreeMap::new(), orphans: 0, time_wait: TimeWait::new() };
+        Node { t, routes: Rc::new(RefCell::new(routes)) }
     }
 
     /// The underlying shared transport.
@@ -55,7 +58,8 @@ impl<T: Transport + 'static> Node<T> {
         self.t.clone()
     }
 
-    /// Frames received for sessions nobody had open.
+    /// Frames received for sessions nobody had open (TIME_WAIT re-acks
+    /// excluded: they count in `node.time_wait.reacks`).
     pub fn orphan_frames(&self) -> u64 {
         self.routes.borrow().orphans
     }
@@ -73,6 +77,7 @@ impl<T: Transport + 'static> Node<T> {
     pub fn start_pump(&self) -> rt::JoinHandle<std::io::Result<()>> {
         let t = self.t.clone();
         let routes = self.routes.clone();
+        let me = t.local_node();
         rt::spawn(async move {
             loop {
                 let batch = match t.recv_batch(crate::transport::DEFAULT_RECV_BATCH).await {
@@ -83,11 +88,18 @@ impl<T: Transport + 'static> Node<T> {
                         return Err(e);
                     }
                 };
+                let now = rt::now();
                 let mut r = routes.borrow_mut();
                 for frame in batch {
-                    match r.by_session.get(&frame.session) {
-                        Some(tx) => tx.send(frame),
-                        None => r.orphans += 1,
+                    if let Some(tx) = r.by_session.get(&frame.session) {
+                        tx.send(frame);
+                    } else if let Some(ack) = r.time_wait.reack(me, &frame, now) {
+                        // Best-effort: a lost re-ack costs one more
+                        // retransmission.
+                        let _ = t.send_to(frame.sender, &ack);
+                        crate::telemetry::counter_add("node.time_wait.reacks", 1);
+                    } else {
+                        r.orphans += 1;
                     }
                 }
             }
@@ -123,7 +135,8 @@ impl<T: Transport + 'static> Node<T> {
         result
     }
 
-    /// Runs one session as a terminal.
+    /// Runs one session as a terminal. Once it completes, the session
+    /// stays in TIME_WAIT until its deadline (see the module docs).
     pub async fn participate(
         &self,
         session: u64,
@@ -131,8 +144,13 @@ impl<T: Transport + 'static> Node<T> {
         seed: u64,
     ) -> Result<SessionOutcome, NetError> {
         let rx = self.open_session(session);
+        let (coordinator, until) = (cfg.coordinator, rt::now() + cfg.deadline);
         let result = run_terminal(self.t.clone(), rx, session, cfg, seed).await;
-        self.close_session(session);
+        let mut routes = self.routes.borrow_mut();
+        routes.by_session.remove(&session);
+        if matches!(&result, Ok(out) if out.completed()) {
+            routes.time_wait.complete(session, coordinator, until);
+        }
         result
     }
 }

@@ -26,7 +26,7 @@
 //! fewer than 2³² frames are in flight at once.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
@@ -509,6 +509,20 @@ impl Reliable {
         self.entries.is_empty()
     }
 
+    /// The earliest retransmission due among frames already on the
+    /// wire — the reliable layer's share of a state machine's next
+    /// wakeup. Budget-deferred first copies carry no deadline: they
+    /// wait for window room (see [`Reliable::has_deferred`]).
+    pub fn next_due(&self) -> Option<Instant> {
+        self.entries.iter().filter(|e| e.attempts > 0).map(|e| e.due).min()
+    }
+
+    /// Whether a first copy is waiting for [`FlowBudget`] room; its
+    /// owner must re-run [`Reliable::tick`] while this holds.
+    pub fn has_deferred(&self) -> bool {
+        self.entries.iter().any(|e| e.attempts == 0)
+    }
+
     /// Re-sends every due entry to its still-pending peers. A timeout
     /// halves the node's shared window (which gates admission of *new*
     /// frames), and budget-deferred first copies transmit as soon as a
@@ -712,15 +726,111 @@ impl Dedup {
         if (frame.sender as usize) >= self.seen.len() {
             return Ok(false);
         }
-        let ack = Frame {
-            flags: 0,
-            sender: t.local_node(),
-            session: frame.session,
-            seq: 0,
-            payload: NetPayload::Ack { seq: frame.seq },
-        };
-        t.send_to(frame.sender, &ack)?;
+        t.send_to(frame.sender, &ack_of(t.local_node(), frame))?;
         Ok(self.seen[frame.sender as usize].admit(frame.seq))
+    }
+}
+
+/// The `Ack` node `me` answers reliable `frame` with.
+fn ack_of(me: u8, frame: &Frame) -> Frame {
+    Frame {
+        flags: 0,
+        sender: me,
+        session: frame.session,
+        seq: 0,
+        payload: NetPayload::Ack { seq: frame.seq },
+    }
+}
+
+/// How many terminated session ids a [`TimeWait`] window remembers.
+/// `Start` duplicates arrive within a retransmit window of the
+/// original, so a shallow-but-wide FIFO is plenty; ids falling off the
+/// window behave like unknown sessions again, keeping memory O(window).
+pub const SPENT_WINDOW: usize = 8192;
+
+/// Recently terminated session ids in a bounded FIFO window: a router's
+/// TIME_WAIT state, after TCP's (RFC 9293 §3.3.2).
+///
+/// Every id in the window is *spent*: a duplicated or chaos-delayed
+/// `Start` arriving after its session finished must not re-admit a
+/// ghost session. An id whose terminal **completed** also keeps a
+/// re-ack entry until that session's deadline: a reliable frame its
+/// coordinator retransmits after the terminal returned — a `Fin` whose
+/// ack was lost — is answered with the `Ack` by the router itself, with
+/// no task and no admission slot, so the coordinator's fin barrier
+/// always closes. Aborted and evicted ids stay spent but unanswered: an
+/// aborted terminal holds no key, so acking on its behalf would let the
+/// coordinator believe the group converged.
+///
+/// The serve registry and [`crate::node::Node`]'s pump share this one
+/// window type.
+#[derive(Debug, Default)]
+pub struct TimeWait {
+    /// Spent ids; `Some` while the id re-acks.
+    ids: BTreeMap<u64, Option<ReAck>>,
+    /// Insertion order, for FIFO eviction at [`SPENT_WINDOW`].
+    order: VecDeque<u64>,
+}
+
+/// Who a completed session re-acks for, and until when.
+#[derive(Clone, Copy, Debug)]
+struct ReAck {
+    coordinator: u8,
+    until: Instant,
+}
+
+impl TimeWait {
+    /// An empty window.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records `session` as spent (aborted, evicted or failed): no
+    /// re-admission while it stays inside the window, and no re-acks.
+    pub fn mark_spent(&mut self, session: u64) {
+        self.insert(session, None);
+    }
+
+    /// Records `session` as completed: spent, and re-acking reliable
+    /// frames from `coordinator` until `until` (the session deadline).
+    pub fn complete(&mut self, session: u64, coordinator: u8, until: Instant) {
+        self.insert(session, Some(ReAck { coordinator, until }));
+    }
+
+    fn insert(&mut self, session: u64, reack: Option<ReAck>) {
+        if self.ids.insert(session, reack).is_none() {
+            self.order.push_back(session);
+            if self.order.len() > SPENT_WINDOW {
+                if let Some(old) = self.order.pop_front() {
+                    self.ids.remove(&old);
+                }
+            }
+        }
+    }
+
+    /// Whether `session` is spent (inside the window).
+    pub fn contains(&self, session: u64) -> bool {
+        self.ids.contains_key(&session)
+    }
+
+    /// Spent ids, oldest first.
+    #[cfg(test)]
+    pub(crate) fn spent(&self) -> impl Iterator<Item = u64> + '_ {
+        self.order.iter().copied()
+    }
+
+    /// The `Ack` node `me` answers `frame` with, when it is a late
+    /// reliable frame from the coordinator of a completed session whose
+    /// deadline has not passed. `None` otherwise — the frame is an
+    /// orphan. A `Start` is never answered here: a replay of a spent id
+    /// stays spent.
+    pub fn reack(&self, me: u8, frame: &Frame, now: Instant) -> Option<Frame> {
+        let reack = (*self.ids.get(&frame.session)?)?;
+        let answers = frame.reliable()
+            && frame.sender == reack.coordinator
+            && now < reack.until
+            && !matches!(frame.payload, NetPayload::Start { .. });
+        answers.then(|| ack_of(me, frame))
     }
 }
 

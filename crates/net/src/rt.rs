@@ -8,8 +8,8 @@
 //!
 //! # Scheduling model
 //!
-//! The executor keeps a slab of tasks, a ready queue of task ids, and a
-//! min-heap of timers. A task is polled only when something woke it —
+//! The executor keeps a slab of tasks, a ready queue of task ids, and an
+//! ordered map of timers. A task is polled only when something woke it —
 //! its timer came due, a channel it awaits received a value, a frame
 //! arrived on its transport, or the task it joins completed. **Idle
 //! tasks cost zero CPU**: a pass over 10 000 blocked sessions polls
@@ -42,11 +42,11 @@
 //! whenever it enqueues work while the executor is parked.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::{Duration, Instant};
@@ -161,30 +161,21 @@ impl Wake for TaskWaker {
     }
 }
 
-/// One pending timer: wakes `waker` at `deadline`. `seq` breaks ties so
-/// the heap order is total without comparing wakers.
-struct TimerEntry {
+/// Identifies one pending timer (see [`register_timer`]): its deadline
+/// plus a sequence number that breaks ties, so the timer map's order is
+/// total without comparing wakers. Pass it to [`cancel_timer`] to
+/// withdraw the wake before it fires.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TimerId {
     deadline: Instant,
     seq: u64,
-    waker: Waker,
 }
 
-impl PartialEq for TimerEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline == other.deadline && self.seq == other.seq
-    }
-}
-impl Eq for TimerEntry {}
-impl PartialOrd for TimerEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for TimerEntry {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.deadline, self.seq).cmp(&(other.deadline, other.seq))
-    }
-}
+/// Timer sequence numbers are process-wide, so a [`TimerId`] names one
+/// timer across every executor: a stale id dropped into another
+/// runtime (a later `block_on`, another thread) can never cancel a
+/// timer it does not own.
+static TIMER_SEQ: AtomicU64 = AtomicU64::new(0);
 
 struct TaskSlot {
     task: Task,
@@ -230,8 +221,11 @@ struct Executor {
     free: RefCell<Vec<usize>>,
     live: Cell<usize>,
     ready: Arc<ReadyQueue>,
-    timers: RefCell<BinaryHeap<Reverse<TimerEntry>>>,
-    timer_seq: Cell<u64>,
+    /// Pending timers in deadline order. Cancelled timers leave the map
+    /// at once, so it holds exactly the live ones: the earliest key is
+    /// the next real deadline, and a dropped `Sleep` or `Timeout`
+    /// leaves no stale wake behind.
+    timers: RefCell<BTreeMap<TimerId, Waker>>,
     metrics: Cell<Metrics>,
     /// `Some` while running under [`block_on_virtual`]: the virtual
     /// clock all timers and [`now`] read instead of the wall clock.
@@ -374,12 +368,21 @@ pub fn now() -> Instant {
 /// Registers a one-shot timer: `waker` is woken once `deadline` passes.
 /// The building block of [`sleep`] / [`timeout`], also used by
 /// transports to bridge pollable-but-not-wakeable I/O (UDP sockets)
-/// into the waker world.
-pub fn register_timer(deadline: Instant, waker: &Waker) {
-    let ex = current();
-    let seq = ex.timer_seq.get();
-    ex.timer_seq.set(seq + 1);
-    ex.timers.borrow_mut().push(Reverse(TimerEntry { deadline, seq, waker: waker.clone() }));
+/// into the waker world. The returned id cancels it ([`cancel_timer`]).
+pub fn register_timer(deadline: Instant, waker: &Waker) -> TimerId {
+    let id = TimerId { deadline, seq: TIMER_SEQ.fetch_add(1, Ordering::Relaxed) };
+    current().timers.borrow_mut().insert(id, waker.clone());
+    id
+}
+
+/// Withdraws a timer before it fires. A no-op for a timer that already
+/// fired, or outside any runtime (a future dropped after its
+/// `block_on` returned).
+pub fn cancel_timer(id: TimerId) {
+    let _ = EXECUTOR.try_with(|e| {
+        let Some(ex) = e.borrow().clone() else { return };
+        ex.timers.borrow_mut().remove(&id);
+    });
 }
 
 thread_local! {
@@ -590,18 +593,18 @@ fn block_on_with<F: Future>(
         loop {
             let due = {
                 let mut timers = ex.timers.borrow_mut();
-                match timers.peek() {
-                    Some(Reverse(entry)) if entry.deadline <= now => timers.pop(),
+                match timers.first_key_value() {
+                    Some((id, _)) if id.deadline <= now => timers.pop_first(),
                     _ => None,
                 }
             };
             match due {
-                Some(Reverse(entry)) => {
+                Some((id, waker)) => {
                     if timing {
-                        let lag = now.saturating_duration_since(entry.deadline);
+                        let lag = now.saturating_duration_since(id.deadline);
                         crate::telemetry::observe("rt.timer_lag_us", lag.as_micros() as u64);
                     }
-                    entry.waker.wake();
+                    waker.wake();
                     let mut m = ex.metrics.get();
                     m.timer_fires += 1;
                     ex.metrics.set(m);
@@ -662,7 +665,7 @@ fn block_on_with<F: Future>(
                 if on_stall() {
                     continue; // the hook woke something; no time passes
                 }
-                let next = ex.timers.borrow().peek().map(|Reverse(e)| e.deadline);
+                let next = ex.timers.borrow().first_key_value().map(|(id, _)| id.deadline);
                 match next {
                     Some(deadline) => {
                         // Monotone: a due-now timer leaves the clock put.
@@ -682,7 +685,7 @@ fn block_on_with<F: Future>(
                 }
                 continue;
             }
-            let next = ex.timers.borrow().peek().map(|Reverse(e)| e.deadline);
+            let next = ex.timers.borrow().first_key_value().map(|(id, _)| id.deadline);
             let now = Instant::now();
             let until_timer = match next {
                 Some(deadline) if deadline > now => Some(deadline - now),
@@ -752,7 +755,7 @@ fn block_on_with<F: Future>(
 #[derive(Debug)]
 pub struct Sleep {
     deadline: Instant,
-    registered: bool,
+    timer: Option<TimerId>,
 }
 
 impl Future for Sleep {
@@ -761,29 +764,37 @@ impl Future for Sleep {
         if now() >= self.deadline {
             Poll::Ready(())
         } else {
-            // Register once: the deadline is fixed, so the single heap
-            // entry guarantees the wake. Re-registering on every poll
-            // would let wakes from other sources (a stale timer, a
-            // channel) mint fresh heap entries — a feedback loop that
-            // grows the heap and the spurious-poll rate over a task's
-            // lifetime.
-            if !self.registered {
-                self.registered = true;
-                register_timer(self.deadline, cx.waker());
+            // Register once: the deadline is fixed, so the single timer
+            // guarantees the wake. Re-registering on every poll would
+            // let wakes from other sources mint fresh timers — a
+            // feedback loop that grows the map and the spurious-poll
+            // rate over a task's lifetime.
+            if self.timer.is_none() {
+                self.timer = Some(register_timer(self.deadline, cx.waker()));
             }
             Poll::Pending
         }
     }
 }
 
+impl Drop for Sleep {
+    /// A sleep abandoned early (or woken by another source after its
+    /// deadline, before its timer fired) takes its timer with it.
+    fn drop(&mut self) {
+        if let Some(id) = self.timer.take() {
+            cancel_timer(id);
+        }
+    }
+}
+
 /// Completes after `d`.
 pub fn sleep(d: Duration) -> Sleep {
-    Sleep { deadline: now() + d, registered: false }
+    Sleep { deadline: now() + d, timer: None }
 }
 
 /// Completes at `deadline`.
 pub fn sleep_until(deadline: Instant) -> Sleep {
-    Sleep { deadline, registered: false }
+    Sleep { deadline, timer: None }
 }
 
 /// Yields once, letting other tasks run before this one resumes.
@@ -824,12 +835,12 @@ impl std::fmt::Display for Elapsed {
 
 impl std::error::Error for Elapsed {}
 
-/// Future returned by [`timeout`].
+/// Future returned by [`timeout`] and [`timeout_at`].
 #[derive(Debug)]
 pub struct Timeout<F> {
     fut: F,
     deadline: Instant,
-    registered: bool,
+    timer: Option<TimerId>,
 }
 
 impl<F: Future + Unpin> Future for Timeout<F> {
@@ -842,22 +853,33 @@ impl<F: Future + Unpin> Future for Timeout<F> {
         if now() >= this.deadline {
             return Poll::Ready(Err(Elapsed));
         }
-        // Register once per Timeout instance (see `Sleep::poll`): the
-        // entry outlives an early completion as a single stale wake,
-        // which the next pending future absorbs without re-arming —
-        // the chain dies instead of compounding.
-        if !this.registered {
-            this.registered = true;
-            register_timer(this.deadline, cx.waker());
+        // Register once per instance (see `Sleep::poll`); an early
+        // completion cancels the timer on drop.
+        if this.timer.is_none() {
+            this.timer = Some(register_timer(this.deadline, cx.waker()));
         }
         Poll::Pending
+    }
+}
+
+impl<F> Drop for Timeout<F> {
+    fn drop(&mut self) {
+        if let Some(id) = self.timer.take() {
+            cancel_timer(id);
+        }
     }
 }
 
 /// Limits `fut` to duration `d`. The future must be `Unpin` (wrap in
 /// `Box::pin` otherwise).
 pub fn timeout<F: Future + Unpin>(d: Duration, fut: F) -> Timeout<F> {
-    Timeout { fut, deadline: now() + d, registered: false }
+    timeout_at(now() + d, fut)
+}
+
+/// Limits `fut` to complete by `deadline` — the shape of a state
+/// machine that sleeps until its earliest real deadline or an event.
+pub fn timeout_at<F: Future + Unpin>(deadline: Instant, fut: F) -> Timeout<F> {
+    Timeout { fut, deadline, timer: None }
 }
 
 /// An unbounded single-threaded channel, in the mpsc shape the session
@@ -1107,6 +1129,25 @@ mod tests {
                  with {IDLE} idle tasks"
             );
             drop(keep);
+        });
+    }
+
+    /// A timeout whose future wins leaves no timer behind: it neither
+    /// fires later as a stale wake nor stays in the timer map.
+    #[test]
+    fn completed_timeouts_cancel_their_timers() {
+        block_on(async {
+            let before = metrics();
+            for i in 0..100u32 {
+                let (tx, mut rx) = channel::<u32>();
+                spawn(async move { tx.send(i) });
+                let got = timeout(Duration::from_secs(60), rx.recv()).await;
+                assert_eq!(got, Ok(Some(i)));
+            }
+            assert_eq!(current().timers.borrow().len(), 0, "cancelled timers stay in the map");
+            sleep(Duration::from_millis(2)).await;
+            let fired = metrics().timer_fires - before.timer_fires;
+            assert_eq!(fired, 1, "only the live sleep fires");
         });
     }
 

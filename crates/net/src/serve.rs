@@ -39,6 +39,10 @@
 //!   registry immediately (their outcome goes to the
 //!   [`Server::outcomes`] channel), so registry size tracks *live*
 //!   sessions only.
+//! * **TIME_WAIT** — a terminal returns as soon as it has acked `Fin`;
+//!   its id then sits in the registry's [`TimeWait`] window until the
+//!   session deadline, and a `Fin` the coordinator retransmits because
+//!   that ack was lost is re-acked by the pump — no task, no slot.
 //!
 //! The pump is batched ([`SharedTransport::recv_batch`]): one wakeup
 //! drains the whole socket backlog and routes it under a single borrow.
@@ -46,13 +50,17 @@
 //! daemon with thousands of open sessions polls O(1) tasks per tick.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
+use std::future::Future;
 use std::io;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use crate::driver::task_seed;
 use crate::frame::{Frame, NetPayload};
+use crate::reliable::TimeWait;
 use crate::rt;
 use crate::rt::chan::{channel, Receiver, Sender};
 use crate::session::{NetError, SessionConfig, SessionOutcome};
@@ -104,6 +112,7 @@ pub struct ServeStats {
     pub failed: u64,
     /// Frames dropped because they belonged to no session and could not
     /// admit one (wrong kind, wrong sender, or already terminated).
+    /// TIME_WAIT re-acks are not orphans (`serve.time_wait.reacks`).
     pub orphans: u64,
     /// High-water mark of concurrently open sessions.
     pub peak_open: u64,
@@ -160,6 +169,10 @@ enum Admission {
     /// Replay of a terminated session id — dropped (a late duplicate,
     /// not a live coordinator to pace).
     Spent,
+    /// A late reliable frame of a session in TIME_WAIT: send this ack.
+    ReAck(Frame),
+    /// No session claims the frame and it admits none — dropped.
+    Orphan,
 }
 
 /// The daemon's session table: admission, routing, eviction, GC.
@@ -168,13 +181,16 @@ enum Admission {
 /// the [`Server`] owns all mutation.
 pub struct SessionRegistry {
     open: BTreeMap<u64, Entry>,
-    /// Recently terminated/evicted session ids (bounded FIFO window):
-    /// a duplicated or chaos-delayed `Start` copy arriving after its
-    /// session already finished must NOT re-admit a ghost session —
-    /// the replay would occupy a slot until eviction and could emit a
-    /// spurious abort outcome for a session that already agreed.
-    spent: BTreeSet<u64>,
-    spent_order: VecDeque<u64>,
+    /// Recently terminated/evicted session ids: a replayed `Start` must
+    /// not re-admit a ghost session (it would hold a slot until
+    /// eviction and could emit a spurious abort for a session that
+    /// already agreed), and completed ids re-ack late frames from
+    /// their coordinator until their deadline.
+    spent: TimeWait,
+    /// The node every admitted session's frames must come from.
+    coordinator: u8,
+    /// The session deadline: how long a completed id keeps re-acking.
+    deadline: Duration,
     limits: ServeLimits,
     stats: ServeStats,
     /// Arrival order of parked `Start`s (session ids; a popped id no
@@ -186,12 +202,6 @@ pub struct SessionRegistry {
     /// their retries instead of re-knocking in lockstep.
     queued: BTreeMap<u64, PendingStart>,
 }
-
-/// How many terminated session ids the replay window remembers. Start
-/// duplicates arrive within a retransmit window of the original, so a
-/// shallow-but-wide FIFO is plenty; ids falling off the window behave
-/// like unknown sessions again (admissible), keeping memory O(window).
-const SPENT_WINDOW: usize = 8192;
 
 /// Most `Start`s parked for re-admission at once; beyond it a refusal
 /// is answered with `Busy` alone and the coordinator's paced retry is
@@ -206,28 +216,16 @@ const QUEUE_WINDOW: usize = 8192;
 const QUEUE_STALE: Duration = Duration::from_secs(20);
 
 impl SessionRegistry {
-    fn new(limits: ServeLimits) -> Self {
+    fn new(limits: ServeLimits, cfg: &SessionConfig) -> Self {
         SessionRegistry {
             open: BTreeMap::new(),
-            spent: BTreeSet::new(),
-            spent_order: VecDeque::new(),
+            spent: TimeWait::new(),
+            coordinator: cfg.coordinator,
+            deadline: cfg.deadline,
             limits,
             stats: ServeStats::default(),
             queue: VecDeque::new(),
             queued: BTreeMap::new(),
-        }
-    }
-
-    /// Records a session id as terminated (no re-admission while it
-    /// stays inside the replay window).
-    fn mark_spent(&mut self, session: u64) {
-        if self.spent.insert(session) {
-            self.spent_order.push_back(session);
-            if self.spent_order.len() > SPENT_WINDOW {
-                if let Some(old) = self.spent_order.pop_front() {
-                    self.spent.remove(&old);
-                }
-            }
         }
     }
 
@@ -309,8 +307,7 @@ impl SessionRegistry {
             let session = self.queue.pop_front()?;
             let Some(pending) = self.queued.remove(&session) else { continue };
             crate::telemetry::gauge_set("serve.queue.depth", self.queued.len() as u64);
-            if self.spent.contains(&session) || now.duration_since(pending.refreshed) > QUEUE_STALE
-            {
+            if self.spent.contains(session) || now.duration_since(pending.refreshed) > QUEUE_STALE {
                 continue;
             }
             let rx = self.open_slot(session, now);
@@ -325,13 +322,31 @@ impl SessionRegistry {
         None
     }
 
+    /// Handles a frame no open session claims. A `Start` from the
+    /// coordinator goes to admission; a late reliable frame of a
+    /// session in TIME_WAIT gets its ack (answered by node `me`);
+    /// anything else is an orphan: stale, spoofed, or for a session
+    /// that aborted or was evicted here.
+    fn unrouted(&mut self, me: u8, frame: Frame, now: Instant) -> Admission {
+        if frame.sender == self.coordinator && matches!(frame.payload, NetPayload::Start { .. }) {
+            return self.admit(frame, now);
+        }
+        if let Some(ack) = self.spent.reack(me, &frame, now) {
+            crate::telemetry::counter_add("serve.time_wait.reacks", 1);
+            return Admission::ReAck(ack);
+        }
+        self.stats.orphans += 1;
+        crate::telemetry::counter_add("serve.orphans", 1);
+        Admission::Orphan
+    }
+
     /// Opens a slot for the session of this `Start` if load allows and
     /// the id is not a replay of a terminated session; over the
     /// high-water mark the frame is parked for FIFO re-admission and
     /// the refusal answered with a pacing hint.
     fn admit(&mut self, frame: Frame, now: Instant) -> Admission {
         let session = frame.session;
-        if self.spent.contains(&session) {
+        if self.spent.contains(session) {
             self.stats.orphans += 1;
             crate::telemetry::counter_add("serve.orphans", 1);
             return Admission::Spent;
@@ -358,26 +373,38 @@ impl SessionRegistry {
     }
 
     /// Removes a terminated session's slot (terminal-state GC) and
-    /// remembers the id so Start replays cannot resurrect it.
+    /// remembers the id so Start replays cannot resurrect it; a
+    /// completed session enters TIME_WAIT until its deadline.
     fn finish(&mut self, session: u64, outcome: &Result<SessionOutcome, NetError>) {
-        let entry = self.open.remove(&session);
-        self.mark_spent(session);
         // A session whose slot is already gone was evicted (counted as
         // `evicted`) or swept on socket death — its late outcome,
         // whatever its shape (an eviction usually terminates with
         // `Closed`, but a protocol deadline can race the idle sweep and
         // deliver an `Ok` abort), must not be counted a second time:
         // the stat buckets partition `admitted`.
-        let Some(entry) = entry else { return };
+        let Some(entry) = self.open.remove(&session) else {
+            self.spent.mark_spent(session);
+            return;
+        };
         crate::telemetry::observe(
             "serve.session_us",
             entry.admitted_at.elapsed().as_micros() as u64,
         );
         crate::telemetry::gauge_set("serve.open", self.open.len() as u64);
         match outcome {
-            Ok(out) if out.completed() => self.stats.completed += 1,
-            Ok(_) => self.stats.aborted += 1,
-            Err(_) => self.stats.failed += 1,
+            Ok(out) if out.completed() => {
+                self.stats.completed += 1;
+                let until = entry.admitted_at + self.deadline;
+                self.spent.complete(session, self.coordinator, until);
+            }
+            Ok(_) => {
+                self.stats.aborted += 1;
+                self.spent.mark_spent(session);
+            }
+            Err(_) => {
+                self.stats.failed += 1;
+                self.spent.mark_spent(session);
+            }
         }
     }
 
@@ -401,14 +428,40 @@ impl SessionRegistry {
             crate::telemetry::gauge_set("serve.open", self.open.len() as u64);
         }
         for session in evicted {
-            self.mark_spent(session);
+            self.spent.mark_spent(session);
         }
+    }
+}
+
+/// A stop request shared by a [`Server`] and its handles: the flag plus
+/// the pump's waker, so asking to stop ends the pump's wait at once.
+#[derive(Default)]
+struct Stop {
+    requested: Cell<bool>,
+    pump: RefCell<Option<Waker>>,
+}
+
+impl Stop {
+    fn request(&self) {
+        self.requested.set(true);
+        if let Some(w) = self.pump.borrow_mut().take() {
+            w.wake();
+        }
+    }
+
+    /// Ready once a stop was requested; otherwise parks `cx`'s waker.
+    fn poll(&self, cx: &Context<'_>) -> Poll<()> {
+        if self.requested.get() {
+            return Poll::Ready(());
+        }
+        *self.pump.borrow_mut() = Some(cx.waker().clone());
+        Poll::Pending
     }
 }
 
 /// Shared control handle of a running [`Server`]: stop it, watch it.
 pub struct ServeHandle {
-    stop: Rc<Cell<bool>>,
+    stop: Rc<Stop>,
     registry: Rc<RefCell<SessionRegistry>>,
 }
 
@@ -419,9 +472,9 @@ impl Clone for ServeHandle {
 }
 
 impl ServeHandle {
-    /// Asks the serve loop to exit after its current pass.
+    /// Asks the serve loop to exit; it wakes and returns at once.
     pub fn stop(&self) {
-        self.stop.set(true);
+        self.stop.request();
     }
 
     /// Currently open sessions.
@@ -441,9 +494,13 @@ pub struct Server<T> {
     cfg: SessionConfig,
     seed: u64,
     registry: Rc<RefCell<SessionRegistry>>,
-    stop: Rc<Cell<bool>>,
-    outcomes: Option<Sender<SessionOutcome>>,
+    stop: Rc<Stop>,
+    /// The outcome stream's only sender, shared with the session tasks
+    /// and dropped when the server stops, which closes the stream.
+    outcomes: Outcomes,
 }
+
+type Outcomes = Rc<RefCell<Option<Sender<SessionOutcome>>>>;
 
 impl<T: Transport + 'static> Server<T> {
     /// Builds a daemon for this node. `cfg` is the session
@@ -460,13 +517,14 @@ impl<T: Transport + 'static> Server<T> {
             cfg.coordinator,
             "serve daemons are terminals; run the coordinator role to initiate rounds"
         );
+        let registry = SessionRegistry::new(limits, &cfg);
         Server {
             t,
             cfg,
             seed,
-            registry: Rc::new(RefCell::new(SessionRegistry::new(limits))),
-            stop: Rc::new(Cell::new(false)),
-            outcomes: None,
+            registry: Rc::new(RefCell::new(registry)),
+            stop: Rc::default(),
+            outcomes: Rc::default(),
         }
     }
 
@@ -477,40 +535,53 @@ impl<T: Transport + 'static> Server<T> {
 
     /// Creates the outcome stream: every terminated session's
     /// [`SessionOutcome`] is delivered here (terminations from eviction
-    /// and socket errors are not — they carry no outcome).
+    /// and socket errors are not — they carry no outcome). The stream
+    /// closes when the server stops.
     pub fn outcomes(&mut self) -> Receiver<SessionOutcome> {
         let (tx, rx) = channel();
-        self.outcomes = Some(tx);
+        *self.outcomes.borrow_mut() = Some(tx);
         rx
     }
 
     /// Runs the daemon until [`ServeHandle::stop`] or a socket error.
-    /// Returns the lifetime stats.
+    /// Returns the lifetime stats. Either way the outcome stream closes:
+    /// sessions still in flight run on, but report nowhere.
     pub async fn run(self) -> io::Result<ServeStats> {
+        let outcomes = self.outcomes.clone();
+        let result = self.pump().await;
+        outcomes.borrow_mut().take();
+        result
+    }
+
+    async fn pump(self) -> io::Result<ServeStats> {
         let Server { t, cfg, seed, registry, stop, outcomes } = self;
         let me = t.local_node();
         let limits = registry.borrow().limits;
-        // Eviction sweeps ride the pump's timeout so an idle daemon
-        // wakes a few times a second, not per tick — and a *busy* pump
-        // (woken per batch, not per timeout) still sweeps only once per
-        // interval: the sweep is an O(open-sessions) scan, which must
-        // not run per received batch.
+        // Eviction sweeps ride the pump's wait so an idle daemon wakes
+        // a few times a second — and a *busy* pump (woken per batch)
+        // still sweeps only once per interval: the sweep is an
+        // O(open-sessions) scan, which must not run per received batch.
         let sweep =
             (limits.idle_timeout / 4).clamp(Duration::from_millis(50), Duration::from_secs(1));
         let mut last_sweep = Instant::now();
         loop {
-            if stop.get() {
-                return Ok(registry.borrow().stats());
-            }
-            let batch = match rt::timeout(sweep, t.recv_batch(limits.recv_batch)).await {
-                Err(rt::Elapsed) => Vec::new(),
-                Ok(Err(e)) => {
+            // Wait for a batch, the next sweep, or a stop request.
+            let mut next = rt::timeout_at(last_sweep + sweep, t.recv_batch(limits.recv_batch));
+            let woke = std::future::poll_fn(|cx| match stop.poll(cx) {
+                Poll::Ready(()) => Poll::Ready(None),
+                Poll::Pending => Pin::new(&mut next).poll(cx).map(Some),
+            })
+            .await;
+            let batch = match woke {
+                None => return Ok(registry.borrow().stats()),
+                Some(Err(rt::Elapsed)) => Vec::new(),
+                Some(Ok(Err(e))) => {
                     // Socket death: close every session promptly (they
                     // terminate with NetError::Closed) and report.
                     registry.borrow_mut().open.clear();
                     return Err(e);
                 }
-                Ok(Ok(batch)) => batch,
+                Some(Ok(Ok(batch))) => batch,
             };
             let now = Instant::now();
             for frame in batch {
@@ -519,18 +590,8 @@ impl<T: Transport + 'static> Server<T> {
                     Ok(()) => continue,
                     Err(frame) => frame,
                 };
-                // Unknown session: only a Start from the coordinator
-                // admits one (any other frame kind means the session
-                // is stale, spoofed, or already terminated here).
-                let admissible = frame.sender == cfg.coordinator
-                    && matches!(frame.payload, NetPayload::Start { .. });
-                if !admissible {
-                    reg.stats.orphans += 1;
-                    crate::telemetry::counter_add("serve.orphans", 1);
-                    continue;
-                }
                 let session = frame.session;
-                let rx = match reg.admit(frame, now) {
+                let rx = match reg.unrouted(me, frame, now) {
                     Admission::Admitted(rx) => rx,
                     Admission::Busy { retry_after_ms } => {
                         // Explicit backpressure instead of a silent
@@ -548,7 +609,13 @@ impl<T: Transport + 'static> Server<T> {
                         let _ = t.send_to(cfg.coordinator, &busy);
                         continue;
                     }
-                    Admission::Spent => continue,
+                    Admission::ReAck(ack) => {
+                        // Best-effort like `Busy`: a lost re-ack costs
+                        // one more retransmission.
+                        let _ = t.send_to(cfg.coordinator, &ack);
+                        continue;
+                    }
+                    Admission::Spent | Admission::Orphan => continue,
                 };
                 drop(reg);
                 spawn_session(&t, &cfg, &registry, &outcomes, seed, session, rx);
@@ -579,7 +646,7 @@ fn spawn_session<T: Transport + 'static>(
     t: &SharedTransport<T>,
     cfg: &SessionConfig,
     registry: &Rc<RefCell<SessionRegistry>>,
-    outcomes: &Option<Sender<SessionOutcome>>,
+    outcomes: &Outcomes,
     seed: u64,
     session: u64,
     rx: Receiver<Frame>,
@@ -592,7 +659,7 @@ fn spawn_session<T: Transport + 'static>(
     rt::spawn(async move {
         let result = run_terminal(t, rx, session, cfg, task_seed(seed, session, me)).await;
         registry.borrow_mut().finish(session, &result);
-        if let (Some(tx), Ok(out)) = (outcomes, result) {
+        if let (Some(tx), Ok(out)) = (outcomes.borrow().as_ref(), result) {
             tx.send(out);
         }
     });
@@ -601,6 +668,7 @@ fn spawn_session<T: Transport + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reliable::SPENT_WINDOW;
     use crate::transport::SimNet;
     use thinair_netsim::IidMedium;
 
@@ -620,18 +688,35 @@ mod tests {
         Frame { flags: 0, sender: 0, session, seq: 0, payload: NetPayload::Start { digest: 7 } }
     }
 
+    fn registry(limits: ServeLimits) -> SessionRegistry {
+        SessionRegistry::new(limits, &small_cfg(2))
+    }
+
+    fn completed(session: u64) -> SessionOutcome {
+        SessionOutcome {
+            session,
+            node: 1,
+            l: 1,
+            m: 2,
+            n_packets: 4,
+            secret: Vec::new(),
+            abort: None,
+            trace: None,
+        }
+    }
+
     fn must_admit(reg: &mut SessionRegistry, session: u64, now: Instant) -> Receiver<Frame> {
         match reg.admit(start(session), now) {
             Admission::Admitted(rx) => rx,
             Admission::Busy { .. } => panic!("session {session} refused: busy"),
-            Admission::Spent => panic!("session {session} refused: spent"),
+            _ => panic!("session {session} refused: spent"),
         }
     }
 
     #[test]
     fn registry_admits_routes_and_caps() {
         let limits = ServeLimits { max_sessions: 2, ..ServeLimits::default() };
-        let mut reg = SessionRegistry::new(limits);
+        let mut reg = registry(limits);
         let now = Instant::now();
         let _rx1 = must_admit(&mut reg, 1, now);
         let _rx2 = must_admit(&mut reg, 2, now);
@@ -662,13 +747,13 @@ mod tests {
             idle_timeout: Duration::from_millis(10),
             ..ServeLimits::default()
         };
-        let mut reg = SessionRegistry::new(limits);
+        let mut reg = registry(limits);
         let t0 = Instant::now();
         let scrambled = [11u64, 3, 42, 7, 29, 5];
         let _rxs: Vec<_> = scrambled.iter().map(|&s| must_admit(&mut reg, s, t0)).collect();
         reg.evict_idle(t0 + Duration::from_millis(50));
         assert_eq!(reg.stats().evicted, scrambled.len() as u64);
-        let spent: Vec<u64> = reg.spent_order.iter().copied().collect();
+        let spent: Vec<u64> = reg.spent.spent().collect();
         let mut sorted = scrambled.to_vec();
         sorted.sort_unstable();
         assert_eq!(spent, sorted, "batch eviction must mark spent in ascending id order");
@@ -681,7 +766,7 @@ mod tests {
             idle_timeout: Duration::from_millis(10),
             ..ServeLimits::default()
         };
-        let mut reg = SessionRegistry::new(limits);
+        let mut reg = registry(limits);
         let t0 = Instant::now();
         let mut rx = must_admit(&mut reg, 7, t0);
         reg.evict_idle(t0 + Duration::from_millis(5));
@@ -728,29 +813,65 @@ mod tests {
     /// must not re-admit a ghost session under the same id.
     #[test]
     fn registry_refuses_start_replays_of_finished_sessions() {
-        let mut reg = SessionRegistry::new(ServeLimits::default());
+        let mut reg = registry(ServeLimits::default());
         let now = Instant::now();
         let _rx = must_admit(&mut reg, 42, now);
-        let outcome = SessionOutcome {
-            session: 42,
-            node: 1,
-            l: 1,
-            m: 2,
-            n_packets: 4,
-            secret: Vec::new(),
-            abort: None,
-            trace: None,
-        };
-        reg.finish(42, &Ok(outcome));
+        reg.finish(42, &Ok(completed(42)));
         assert_eq!(reg.open_sessions(), 0);
         assert!(matches!(reg.admit(start(42), now), Admission::Spent), "finished ids are spent");
         assert_eq!(reg.stats().admitted, 1, "the replay admitted nothing");
         // Fresh ids are unaffected, and the window is bounded.
         let _rx43 = must_admit(&mut reg, 43, now);
         for s in 100..100 + (SPENT_WINDOW as u64) + 10 {
-            reg.mark_spent(s);
+            reg.spent.mark_spent(s);
         }
-        assert!(reg.spent.len() <= SPENT_WINDOW);
+        assert!(reg.spent.spent().count() <= SPENT_WINDOW);
+    }
+
+    /// TIME_WAIT: a late reliable frame from the coordinator of a
+    /// completed session is re-acked (not an orphan); the same frame
+    /// for an aborted or evicted session is an orphan; a `Start` replay
+    /// of a completed id is still spent; and the re-ack window closes
+    /// at the session deadline.
+    #[test]
+    fn registry_reacks_late_fins_of_completed_sessions_only() {
+        let limits = ServeLimits { idle_timeout: Duration::from_millis(10), ..Default::default() };
+        let mut reg = registry(limits);
+        let t0 = Instant::now();
+        let fin = |session: u64| Frame {
+            flags: crate::frame::FLAG_RELIABLE,
+            sender: 0,
+            session,
+            seq: 9,
+            payload: NetPayload::Fin,
+        };
+        let _rx = must_admit(&mut reg, 1, t0);
+        reg.finish(1, &Ok(completed(1)));
+        match reg.unrouted(1, fin(1), t0) {
+            Admission::ReAck(ack) => {
+                assert_eq!((ack.sender, ack.session), (1, 1));
+                assert!(matches!(ack.payload, NetPayload::Ack { seq: 9 }));
+            }
+            _ => panic!("a late Fin of a completed session is re-acked"),
+        }
+        // Only the session's coordinator is answered.
+        let spoofed = Frame { sender: 2, ..fin(1) };
+        assert!(matches!(reg.unrouted(1, spoofed, t0), Admission::Orphan));
+        assert_eq!(reg.stats().orphans, 1, "the re-ack is not an orphan");
+        // A Start replay of the completed id stays spent.
+        assert!(matches!(reg.unrouted(1, start(1), t0), Admission::Spent));
+        // Aborted and evicted ids are spent but never re-acked.
+        let _rx2 = must_admit(&mut reg, 2, t0);
+        let abort = crate::session::AbortReason::Deadline { phase: "x settle" };
+        reg.finish(2, &Ok(SessionOutcome::aborted(2, 1, 4, abort, None)));
+        assert!(matches!(reg.unrouted(1, fin(2), t0), Admission::Orphan));
+        let _rx3 = must_admit(&mut reg, 3, t0);
+        reg.evict_idle(t0 + Duration::from_millis(50));
+        assert!(matches!(reg.unrouted(1, fin(3), t0), Admission::Orphan));
+        assert_eq!(reg.stats().orphans, 4);
+        // The window closes at the session deadline.
+        let late = t0 + small_cfg(2).deadline + Duration::from_millis(1);
+        assert!(matches!(reg.unrouted(1, fin(1), late), Admission::Orphan));
     }
 
     /// Shedding starts at the high-water mark (7/8 of the cap), not at
@@ -758,7 +879,7 @@ mod tests {
     #[test]
     fn registry_sheds_early_with_load_scaled_pace() {
         let limits = ServeLimits { max_sessions: 64, ..ServeLimits::default() };
-        let mut reg = SessionRegistry::new(limits);
+        let mut reg = registry(limits);
         let now = Instant::now();
         let high = 64 - 64 / 8;
         let mut rxs = Vec::new();
@@ -787,7 +908,7 @@ mod tests {
     #[test]
     fn registry_readmits_parked_starts_in_arrival_order() {
         let limits = ServeLimits { max_sessions: 8, ..ServeLimits::default() };
-        let mut reg = SessionRegistry::new(limits);
+        let mut reg = registry(limits);
         let now = Instant::now();
         let high = 8 - 8 / 8;
         for s in 0..high as u64 {

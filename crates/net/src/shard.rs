@@ -37,8 +37,10 @@
 //! every daemon sees the same Start sub-stream in near-identical order
 //! and re-admits in the same order.
 
+use std::future::Future;
 use std::io;
 use std::net::SocketAddr;
+use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex};
@@ -325,10 +327,38 @@ pub struct ShardedServeOptions {
     pub timing: bool,
 }
 
+/// How often the calling thread of [`run_sharded_serve`] checks the
+/// stop flag. The workers never poll it: they sleep until an event, and
+/// the watcher's wake reaches them through their doorbells.
+const STOP_WATCH: Duration = Duration::from_millis(5);
+
+/// A worker's view of the daemon's stop flag: ready once the flag is
+/// set. The flag is a bare atomic that wakes nobody, so the calling
+/// thread watches it and rings the waker parked in `wake`.
+struct StopSignal {
+    flag: Arc<AtomicBool>,
+    wake: Arc<Mutex<Option<Waker>>>,
+}
+
+impl Future for StopSignal {
+    type Output = ();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        // Park the waker before the check, so a stop set in between
+        // finds it.
+        *self.wake.lock().unwrap_or_else(std::sync::PoisonError::into_inner) =
+            Some(cx.waker().clone());
+        if self.flag.load(Ordering::Acquire) {
+            Poll::Ready(())
+        } else {
+            Poll::Pending
+        }
+    }
+}
+
 /// Runs one serve daemon sharded across `sockets.len()` worker
-/// threads, blocking until `stop` is set (each worker notices within
-/// ~25 ms, drains, and reports). Returns one [`ShardReport`] per
-/// shard, index-aligned.
+/// threads, blocking until `stop` is set (the calling thread watches
+/// the flag and wakes every worker, which drains and reports). Returns
+/// one [`ShardReport`] per shard, index-aligned.
 ///
 /// # Panics
 /// Panics if a worker thread panics (the panic propagates).
@@ -345,15 +375,26 @@ pub fn run_sharded_serve(
         ..opts.limits
     };
     let transports = shard_group(sockets, peers, node);
+    let wakes: Vec<Arc<Mutex<Option<Waker>>>> = (0..workers).map(|_| Arc::default()).collect();
     let mut reports: Vec<io::Result<ShardReport>> = std::thread::scope(|s| {
         let handles: Vec<_> = transports
             .into_iter()
-            .map(|t| {
-                let stop = stop.clone();
+            .zip(&wakes)
+            .map(|(t, wake)| {
+                let signal = StopSignal { flag: stop.clone(), wake: wake.clone() };
                 let opts = opts.clone();
-                s.spawn(move || shard_worker(t, opts, per_shard, stop))
+                s.spawn(move || shard_worker(t, opts, per_shard, signal))
             })
             .collect();
+        while !stop.load(Ordering::Acquire) && !handles.iter().all(|h| h.is_finished()) {
+            std::thread::sleep(STOP_WATCH);
+        }
+        for wake in &wakes {
+            let waker = wake.lock().unwrap_or_else(std::sync::PoisonError::into_inner).take();
+            if let Some(w) = waker {
+                w.wake();
+            }
+        }
         handles
             .into_iter()
             .map(|h| match h.join() {
@@ -374,7 +415,7 @@ fn shard_worker(
     t: ShardTransport,
     opts: ShardedServeOptions,
     limits: ServeLimits,
-    stop: Arc<AtomicBool>,
+    stop: StopSignal,
 ) -> io::Result<ShardReport> {
     let shard = t.shard();
     crate::telemetry::set_timing(opts.timing);
@@ -386,40 +427,16 @@ fn shard_worker(
         let mut server = Server::new(shared, opts.cfg.clone(), opts.seed, limits);
         let handle = server.handle();
         let mut outcomes_rx = server.outcomes();
-        let stop2 = stop.clone();
-        let stopper = rt::spawn(async move {
-            while !stop2.load(Ordering::Relaxed) {
-                rt::sleep(Duration::from_millis(25)).await;
-            }
+        rt::spawn(async move {
+            stop.await;
             handle.stop();
         });
-        let run = rt::spawn(async move { server.run().await });
+        let run = rt::spawn(server.run());
         // Live outcome drain: keeps the channel bounded in practice and
-        // feeds the CLI printer while the daemon runs.
+        // feeds the CLI printer while the daemon runs. The stream
+        // closes when the server stops.
         let mut outcomes = Vec::new();
-        loop {
-            match rt::timeout(Duration::from_millis(100), outcomes_rx.recv()).await {
-                Ok(Some(o)) => {
-                    if let Some(cb) = &opts.on_outcome {
-                        cb(shard, &o);
-                    }
-                    if opts.collect_outcomes {
-                        outcomes.push(o);
-                    }
-                }
-                Ok(None) => break,
-                Err(rt::Elapsed) => {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                }
-            }
-        }
-        let stats = run.await?;
-        stopper.await;
-        // Sessions that finished in the shutdown window still queued
-        // their outcomes; collect them before tearing down.
-        while let Some(o) = outcomes_rx.try_recv() {
+        while let Some(o) = outcomes_rx.recv().await {
             if let Some(cb) = &opts.on_outcome {
                 cb(shard, &o);
             }
@@ -427,6 +444,7 @@ fn shard_worker(
                 outcomes.push(o);
             }
         }
+        let stats = run.await?;
         Ok(ShardReport {
             shard,
             stats,

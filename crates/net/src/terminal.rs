@@ -12,7 +12,7 @@
 //! announcement, a peer's report can outrun `Start` — so every handler
 //! is phase-independent and out-of-order data is buffered.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -75,10 +75,8 @@ pub async fn run_terminal<T: Transport>(
     let mut report_at: Option<Instant> = None;
     let mut report_sent = false;
     let mut fin_seen = false;
-    let mut linger_until: Option<Instant> = None;
 
     let deadline = rt::now() + cfg.deadline;
-    let tick = cfg.retransmit.min(Duration::from_millis(10));
 
     let aborted = |reason: AbortReason| {
         crate::telemetry::trace_abort(session, me, reason.kind());
@@ -92,21 +90,23 @@ pub async fn run_terminal<T: Transport>(
     crate::telemetry::trace_phase(session, me, cur_phase);
 
     loop {
-        if rt::now() > deadline {
-            // A terminal that derived its secret AND saw Fin has a
-            // converged round — the deadline firing mid-linger must not
-            // retroactively abort it.
-            if fin_seen {
-                if let Some(out) = outcome.take() {
-                    note_complete(session, me, cur_phase, phase_entered, out.l as u32);
-                    return Ok(out);
-                }
-            }
+        if rt::now() >= deadline {
             let phase = phase_name(started, report_sent, announce.is_some(), outcome.is_some());
             return Ok(aborted(AbortReason::Deadline { phase }));
         }
 
-        match rt::timeout(tick, rx.recv()).await {
+        // Sleep until the earliest real deadline — a retransmission
+        // due, the report instant, the session deadline — or until a
+        // frame arrives. (A terminal never sends `Start`, so none of its
+        // frames wait on the flow budget.)
+        let mut wake = deadline;
+        if let Some(due) = rel.next_due() {
+            wake = wake.min(due);
+        }
+        if let (Some(at), false) = (report_at, report_sent) {
+            wake = wake.min(at);
+        }
+        match rt::timeout_at(wake, rx.recv()).await {
             Err(rt::Elapsed) => {}
             Ok(None) => return Err(NetError::Closed),
             Ok(Some(frame)) => {
@@ -268,32 +268,19 @@ pub async fn run_terminal<T: Transport>(
             crate::telemetry::trace_phase(session, me, cur_phase);
         }
 
-        // After Fin, linger briefly (re-acking Fin retransmissions via
-        // `dedup.admit`) so a lost Fin-ack cannot strand the
-        // coordinator's fin barrier — the UDP equivalent of TIME_WAIT.
-        if fin_seen && outcome.is_some() {
-            match linger_until {
-                None => linger_until = Some(now + cfg.retransmit * 12),
-                Some(until) if now >= until => {
-                    let out = outcome.take().expect("outcome set");
-                    note_complete(session, me, cur_phase, phase_entered, out.l as u32);
-                    return Ok(out);
-                }
-                Some(_) => {}
+        // Fin seen (and acked by `dedup.admit` above) with the secret
+        // derived: the round converged, and the session ends here. A
+        // Fin retransmitted because that ack was lost is answered by the
+        // router's TIME_WAIT window ([`crate::reliable::TimeWait`]), not
+        // by keeping this task alive.
+        if fin_seen {
+            if let Some(out) = outcome.take() {
+                note_complete(session, me, cur_phase, phase_entered, out.l as u32);
+                return Ok(out);
             }
         }
 
         if let Err(u) = rel.tick(&t, rt::now())? {
-            // Same convergence guard as the deadline exit: after Fin the
-            // round is known converged, so an exhausted attempt budget
-            // (e.g. a permanently killed Done-ACK) must not discard the
-            // secret.
-            if fin_seen {
-                if let Some(out) = outcome.take() {
-                    note_complete(session, me, cur_phase, phase_entered, out.l as u32);
-                    return Ok(out);
-                }
-            }
             let reason = AbortReason::Unreachable { missing: u.missing, attempts: u.attempts };
             return Ok(aborted(reason));
         }

@@ -267,8 +267,8 @@ pub struct UdpTransport {
     poll_interval: Duration,
     /// Deadline of the currently armed re-poll timer, if any. At most
     /// one timer chain stays armed per transport: arming a fresh one on
-    /// *every* `Pending` would let each spurious wake (e.g. a stale
-    /// `timeout` entry) spawn another self-sustaining chain, compounding
+    /// *every* `Pending` would let each spurious wake (e.g. a superseded
+    /// re-poll timer) spawn another self-sustaining chain, compounding
     /// the poll rate over a daemon's lifetime.
     next_poll_due: Option<Instant>,
 }

@@ -2,7 +2,7 @@
 //! sockets and over the simulated medium, with the identical state
 //! machines.
 
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use thinair_core::estimate::{Estimator, Tuning};
 use thinair_core::round::XSchedule;
@@ -69,6 +69,11 @@ fn udp_concurrent_sessions_multiplex_on_one_socket() {
 /// The same state machines pass the equivalent round when the transport
 /// is the simulated broadcast medium (losses from the medium, injection
 /// off) — the sim ↔ network equivalence the Transport trait exists for.
+///
+/// The medium erases control frames too, Fin-acks included, so the round
+/// also pins liveness: terminals return at their acked `Fin`, and their
+/// nodes' TIME_WAIT windows must re-ack the coordinator's retransmits,
+/// or the coordinator runs to its deadline.
 #[test]
 fn sim_round_same_state_machines_agree() {
     let c = SessionConfig {
@@ -77,7 +82,10 @@ fn sim_round_same_state_machines_agree() {
     };
     // 4 protocol nodes + one extra medium node standing where Eve would.
     let medium = IidMedium::symmetric(5, 0.3, 9);
+    let started = Instant::now();
     let outcomes = sim_round(medium, &c, 0x51B, 31).expect("sim round completes");
+    let elapsed = started.elapsed();
+    assert!(elapsed < c.deadline / 4, "the round ran toward its deadline: {elapsed:?}");
     let first = &outcomes[0];
     assert!(first.l > 0, "expected a nonempty secret at p = 0.3");
     for out in &outcomes {

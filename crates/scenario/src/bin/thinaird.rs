@@ -412,6 +412,13 @@ fn run_role(role: &str, o: Options) -> Result<(), String> {
             let session = o.session_id + s as u64;
             out.push(t.await.map_err(|e| format!("session {session}: {e}"))?);
         }
+        if !is_coordinator {
+            // A terminal returns as soon as it acked `Fin`. Keep the
+            // pump, and with it the TIME_WAIT re-acks, up a while longer
+            // so a coordinator whose Fin-ack was lost is not stranded
+            // by this process exiting.
+            rt::sleep(cfg.retransmit * 12).await;
+        }
         Ok::<_, String>(out)
     })?;
     let mut aborted = 0usize;

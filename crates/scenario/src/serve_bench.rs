@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use thinair_core::round::XSchedule;
@@ -549,12 +549,20 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
     let addrs: Vec<std::net::SocketAddr> =
         groups.iter().map(|g| g[0].local_addr()).collect::<io::Result<_>>().map_err(io_err)?;
 
+    // Daemon outcomes so far, counted as the workers report them, so
+    // the wave can wait for exactly the ones it expects.
+    let served = Arc::new((Mutex::new(0u64), Condvar::new()));
+    let tally = served.clone();
     let opts = ShardedServeOptions {
         cfg: cfg.clone(),
         seed: spec.seed,
         limits: wave_limits(spec),
         collect_outcomes: true,
-        on_outcome: None,
+        on_outcome: Some(Arc::new(move |_, _| {
+            let (count, changed) = &*tally;
+            *count.lock().unwrap_or_else(std::sync::PoisonError::into_inner) += 1;
+            changed.notify_all();
+        })),
         timing: true,
     };
     let stop = Arc::new(AtomicBool::new(false));
@@ -581,10 +589,20 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
             .collect();
-        // Every coordinator session has resolved; give the daemons a
-        // short grace window to finish their fin barriers and queue the
-        // last outcomes, then stop them.
-        std::thread::sleep(Duration::from_millis(400));
+        // Every coordinator session has resolved. Each one that agreed
+        // leaves an outcome on every daemon once its terminal acked
+        // `Fin`; wait for those (bounded by the session deadline), then
+        // stop the daemons.
+        let agreed: u64 = coord_shards
+            .iter()
+            .flatten()
+            .map(|cs| cs.outs.iter().filter(|o| o.completed()).count() as u64)
+            .sum();
+        let expect = agreed * (n as u64 - 1);
+        let (count, changed) = &*served;
+        let count = count.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let wait = Duration::from_millis(spec.deadline_ms);
+        drop(changed.wait_timeout_while(count, wait, |c| *c < expect));
         stop.store(true, Ordering::Relaxed);
         let daemon_reports: Vec<_> = daemon_handles
             .into_iter()
