@@ -217,8 +217,17 @@ impl Message {
         (self.encode().len() * 8) as u64
     }
 
-    /// Parses a message, consuming the buffer.
-    pub fn decode(mut buf: &[u8]) -> Result<Message, WireError> {
+    /// Parses a message from the front of `buf`; bytes after it are
+    /// ignored (see [`Message::decode_prefix`]).
+    pub fn decode(buf: &[u8]) -> Result<Message, WireError> {
+        Self::decode_prefix(buf).map(|(msg, _)| msg)
+    }
+
+    /// Parses one message from the front of `buf` and returns it with the
+    /// bytes that follow it, so a framing layer can insist that the
+    /// message fills its container exactly. Every accepted message
+    /// re-encodes to exactly the bytes it was parsed from.
+    pub fn decode_prefix(mut buf: &[u8]) -> Result<(Message, &[u8]), WireError> {
         fn need(buf: &[u8], n: usize) -> Result<(), WireError> {
             if buf.remaining() < n {
                 Err(WireError::Truncated)
@@ -226,26 +235,29 @@ impl Message {
                 Ok(())
             }
         }
+        fn take(buf: &mut &[u8], n: usize) -> Result<Vec<u8>, WireError> {
+            need(buf, n)?;
+            let out = buf[..n].to_vec();
+            buf.advance(n);
+            Ok(out)
+        }
         need(buf, 1)?;
         let tag = buf.get_u8();
-        match tag {
+        let msg = match tag {
             TAG_X => {
                 need(buf, 5)?;
                 let id = buf.get_u16();
                 let owner = buf.get_u8();
                 let len = buf.get_u16() as usize;
-                need(buf, len)?;
-                let payload = buf[..len].to_vec();
-                Ok(Message::XPacket { id, owner, payload })
+                let payload = take(&mut buf, len)?;
+                Message::XPacket { id, owner, payload }
             }
             TAG_REPORT => {
                 need(buf, 3)?;
                 let terminal = buf.get_u8();
                 let n_packets = buf.get_u16();
-                let want = (n_packets as usize).div_ceil(8);
-                need(buf, want)?;
-                let bitmap = buf[..want].to_vec();
-                Ok(Message::ReceptionReport { terminal, n_packets, bitmap })
+                let bitmap = take(&mut buf, (n_packets as usize).div_ceil(8))?;
+                Message::ReceptionReport { terminal, n_packets, bitmap }
             }
             TAG_Y => {
                 need(buf, 2)?;
@@ -259,70 +271,70 @@ impl Message {
                     for _ in 0..slen {
                         support.push(buf.get_u16());
                     }
-                    need(buf, slen)?;
-                    let coeffs = buf[..slen].to_vec();
-                    buf.advance(slen);
+                    let coeffs = take(&mut buf, slen)?;
                     rows.push(SparseRow { support, coeffs });
                 }
-                Ok(Message::YAnnounce { rows })
+                Message::YAnnounce { rows }
             }
             TAG_Z => {
                 need(buf, 4)?;
                 let index = buf.get_u16();
                 let clen = buf.get_u16() as usize;
-                need(buf, clen)?;
-                let coeffs = buf[..clen].to_vec();
-                buf.advance(clen);
+                let coeffs = take(&mut buf, clen)?;
                 need(buf, 2)?;
                 let plen = buf.get_u16() as usize;
-                need(buf, plen)?;
-                let payload = buf[..plen].to_vec();
-                Ok(Message::ZPacket { index, coeffs, payload })
+                let payload = take(&mut buf, plen)?;
+                Message::ZPacket { index, coeffs, payload }
             }
             TAG_S => {
                 need(buf, 4)?;
                 let n_rows = buf.get_u16() as usize;
                 let width = buf.get_u16() as usize;
+                // The encoder writes width 0 for an empty row set; any
+                // other width would be a second encoding of that message.
+                if n_rows == 0 && width != 0 {
+                    return Err(WireError::BadLength);
+                }
                 let mut rows = Vec::with_capacity(n_rows);
                 for _ in 0..n_rows {
-                    need(buf, width)?;
-                    rows.push(buf[..width].to_vec());
-                    buf.advance(width);
+                    rows.push(take(&mut buf, width)?);
                 }
-                Ok(Message::SAnnounce { rows })
+                Message::SAnnounce { rows }
             }
             TAG_PAD => {
                 need(buf, 5)?;
                 let terminal = buf.get_u8();
                 let n = buf.get_u16() as usize;
                 let width = buf.get_u16() as usize;
+                if n == 0 && width != 0 {
+                    return Err(WireError::BadLength);
+                }
                 let mut payloads = Vec::with_capacity(n);
                 for _ in 0..n {
-                    need(buf, width)?;
-                    payloads.push(buf[..width].to_vec());
-                    buf.advance(width);
+                    payloads.push(take(&mut buf, width)?);
                 }
-                Ok(Message::PadDelivery { terminal, payloads })
+                Message::PadDelivery { terminal, payloads }
             }
             TAG_PLAN => {
                 need(buf, 12)?;
                 let seed = buf.get_u64();
                 let m = buf.get_u16();
                 let l = buf.get_u16();
-                Ok(Message::PlanAnnounce { seed, m, l })
+                Message::PlanAnnounce { seed, m, l }
             }
             TAG_AUTH => {
                 need(buf, 4)?;
                 let len = buf.get_u32() as usize;
-                need(buf, len + 32)?;
-                let inner = buf[..len].to_vec();
-                buf.advance(len);
-                let mut tag_bytes = [0u8; 32];
-                tag_bytes.copy_from_slice(&buf[..32]);
-                Ok(Message::Authenticated { inner, tag: tag_bytes })
+                let inner = take(&mut buf, len)?;
+                need(buf, 32)?;
+                let mut tag = [0u8; 32];
+                tag.copy_from_slice(&buf[..32]);
+                buf.advance(32);
+                Message::Authenticated { inner, tag }
             }
-            other => Err(WireError::UnknownTag(other)),
-        }
+            other => return Err(WireError::UnknownTag(other)),
+        };
+        Ok((msg, buf))
     }
 }
 
@@ -427,6 +439,22 @@ mod tests {
             let r = Message::decode(&enc[..cut]);
             assert!(r.is_err(), "prefix of length {cut} must not parse");
         }
+    }
+
+    #[test]
+    fn decode_prefix_returns_the_bytes_after_the_message() {
+        let msg = Message::PlanAnnounce { seed: 7, m: 2, l: 1 };
+        let mut enc = msg.encode().to_vec();
+        enc.extend_from_slice(&[0xAA, 0xBB]);
+        assert_eq!(Message::decode_prefix(&enc), Ok((msg, &[0xAA, 0xBB][..])));
+    }
+
+    #[test]
+    fn empty_row_sets_have_one_encoding() {
+        // No rows encode as width 0; a nonzero width is a second encoding.
+        assert_eq!(Message::decode(&[TAG_S, 0, 0, 0, 0]), Ok(Message::SAnnounce { rows: vec![] }));
+        assert_eq!(Message::decode(&[TAG_S, 0, 0, 0, 5]), Err(WireError::BadLength));
+        assert_eq!(Message::decode(&[TAG_PAD, 1, 0, 0, 0, 5]), Err(WireError::BadLength));
     }
 
     #[test]

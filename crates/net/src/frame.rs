@@ -2,25 +2,46 @@
 //! and runtime-control payloads.
 //!
 //! Every UDP datagram (and every simulated transmission) carries exactly
-//! one frame:
+//! one frame. Version 2 layout, where `(v:a-b)` is a varint of `a` to
+//! `b` bytes:
 //!
 //! ```text
-//! magic(2) version(1) flags(1) sender(1) session(8) seq(4) len(4)
-//! payload(len) crc32(4)
+//! magic(2) version(1)=2 flags(1) sender(1) session(v:1-10) seq(v:1-5)
+//! len(v:1-3) payload(len) crc32(4)
+//!
+//! payload = 0x01 wire::Message           Proto: the core encoding, unchanged
+//!         | 0x02 seq(v:1-5)              Ack
+//!         | 0x03 digest(8)               Start: a hash, so fixed width
+//!         | 0x04                         Done
+//!         | 0x05                         Fin
+//!         | 0x06 retry_after_ms(v:1-5)   Busy
 //! ```
 //!
-//! Multi-byte fields are big-endian. `session` routes the frame to one
-//! of the concurrently multiplexed group sessions; `seq` numbers frames
-//! per sender (acked when [`FLAG_RELIABLE`] is set). The payload is
-//! either a protocol [`Message`] in its existing `wire` encoding
-//! ([`NetPayload::Proto`]) or one of the runtime-control messages that
-//! real packet I/O needs and the omniscient simulator never did
-//! (start barrier, acks, completion signals).
+//! Fixed-width fields are big-endian. A varint is unsigned LEB128: seven
+//! bits per byte, least significant group first, the high bit set on
+//! every byte but the last — variable-length header integers in the
+//! spirit of QUIC's (RFC 9000 §16). The CRC-32 covers every byte before
+//! it. Version 1 spent a fixed 25 bytes on this envelope (`session`,
+//! `seq` and `len` as 8/4/4-byte fields); with session ids below 2^21
+//! and `seq` below 128 it now takes 12–14, most of a small frame.
 //!
-//! Decoding is fuzz-resistant: any truncated, oversized, corrupt, or
-//! unknown input yields a [`FrameError`], never a panic — the UDP port
-//! is an open attack surface. The property tests in
-//! `crates/net/tests/` fuzz this decoder with random and mutated bytes.
+//! `session` routes the frame to one of the concurrently multiplexed
+//! group sessions; `seq` numbers frames per sender (acked when
+//! [`FLAG_RELIABLE`] is set). The payload is either a protocol
+//! [`Message`] in its existing `wire` encoding ([`NetPayload::Proto`]) or
+//! one of the runtime-control messages that real packet I/O needs and
+//! the omniscient simulator never did (start barrier, acks, completion
+//! signals).
+//!
+//! Decoding is fuzz-resistant and canonical: any truncated, oversized,
+//! corrupt, unknown or non-canonical input yields a [`FrameError`],
+//! never a panic — the UDP port is an open attack surface — and every
+//! accepted datagram re-encodes to exactly its own bytes. A varint with
+//! a redundant zero group or a value beyond its field, and bytes left
+//! over after a complete payload, are rejected rather than ignored, so
+//! no two datagrams decode to the same frame. The property tests in
+//! `crates/net/tests/frame_fuzz.rs` fuzz this decoder with random,
+//! mutated and re-assembled bytes.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use thinair_core::wire::{Message, WireError};
@@ -28,8 +49,9 @@ use thinair_core::wire::{Message, WireError};
 /// First two bytes of every frame: "tA".
 pub const MAGIC: u16 = 0x7441;
 
-/// Current codec version.
-pub const VERSION: u8 = 1;
+/// Current codec version. Version 1 datagrams are rejected as
+/// [`FrameError::BadVersion`]; there is no compatibility path.
+pub const VERSION: u8 = 2;
 
 /// Flag bit: receiver must acknowledge this frame by `(sender, seq)`.
 pub const FLAG_RELIABLE: u8 = 0x01;
@@ -37,11 +59,19 @@ pub const FLAG_RELIABLE: u8 = 0x01;
 /// Hard cap on the payload length field (also bounds decode memory).
 pub const MAX_PAYLOAD: usize = 64 * 1024;
 
-/// Fixed header length in bytes (before the payload).
-pub const HEADER_LEN: usize = 2 + 1 + 1 + 1 + 8 + 4 + 4;
+/// Length of the fixed header fields (magic, version, flags, sender).
+const FIXED_LEN: usize = 2 + 1 + 1 + 1;
 
 /// Trailing checksum length in bytes.
 pub const TRAILER_LEN: usize = 4;
+
+/// The shortest datagram that can hold a frame: the fixed fields, three
+/// one-byte varints, a payload tag and the checksum.
+const MIN_FRAME_LEN: usize = FIXED_LEN + 3 + 1 + TRAILER_LEN;
+
+/// The longest header: the fixed fields plus `session`, `seq` and `len`
+/// varints at their widest (10, 5 and 3 bytes).
+const MAX_HEADER_LEN: usize = FIXED_LEN + 10 + 5 + 3;
 
 /// Runtime-level frame payloads.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -116,8 +146,11 @@ pub enum FrameError {
     UnknownPayload(u8),
     /// The inner protocol message failed to parse.
     Wire(WireError),
-    /// Trailing bytes after a structurally complete frame.
+    /// Trailing bytes after a structurally complete frame or payload.
     TrailingBytes,
+    /// A varint that is not the shortest encoding of its value, runs
+    /// past ten bytes, or exceeds its field's range.
+    BadVarint,
 }
 
 impl std::fmt::Display for FrameError {
@@ -131,6 +164,7 @@ impl std::fmt::Display for FrameError {
             FrameError::UnknownPayload(t) => write!(f, "unknown payload tag {t:#04x}"),
             FrameError::Wire(e) => write!(f, "inner message: {e}"),
             FrameError::TrailingBytes => write!(f, "trailing bytes after frame"),
+            FrameError::BadVarint => write!(f, "non-canonical or out-of-range varint"),
         }
     }
 }
@@ -165,6 +199,46 @@ pub fn crc32(data: &[u8]) -> u32 {
     !crc
 }
 
+/// Appends `v` as an unsigned LEB128 varint (shortest form).
+fn put_varint(b: &mut BytesMut, mut v: u64) {
+    while v >= 0x80 {
+        b.put_u8(v as u8 | 0x80);
+        v >>= 7;
+    }
+    b.put_u8(v as u8);
+}
+
+/// Reads one canonical LEB128 varint no larger than `max` from the front
+/// of `buf`. One that runs past the buffer is [`FrameError::Truncated`];
+/// one with a redundant zero group, more than ten bytes, or a value above
+/// `max` is [`FrameError::BadVarint`], so every value has exactly one
+/// accepted encoding.
+fn get_varint(buf: &mut &[u8], max: u64) -> Result<u64, FrameError> {
+    let mut value = 0u64;
+    for shift in (0..64).step_by(7) {
+        let (&byte, rest) = buf.split_first().ok_or(FrameError::Truncated)?;
+        *buf = rest;
+        let group = u64::from(byte & 0x7F);
+        // The tenth byte carries only bit 63.
+        if shift == 63 && group > 1 {
+            return Err(FrameError::BadVarint);
+        }
+        value |= group << shift;
+        if byte & 0x80 == 0 {
+            // A zero last group after the first byte adds nothing: a
+            // longer spelling of a shorter encoding.
+            let minimal = byte != 0 || shift == 0;
+            return if minimal && value <= max { Ok(value) } else { Err(FrameError::BadVarint) };
+        }
+    }
+    Err(FrameError::BadVarint)
+}
+
+/// [`get_varint`] for a `u32` field.
+fn get_varint_u32(buf: &mut &[u8]) -> Result<u32, FrameError> {
+    get_varint(buf, u32::MAX.into()).map(|v| v as u32)
+}
+
 impl NetPayload {
     /// A short human label for traces and counterexample rendering:
     /// the payload kind, with `Proto` resolved to its inner message
@@ -197,7 +271,7 @@ impl NetPayload {
             }
             NetPayload::Ack { seq } => {
                 b.put_u8(PTAG_ACK);
-                b.put_u32(*seq);
+                put_varint(b, (*seq).into());
             }
             NetPayload::Start { digest } => {
                 b.put_u8(PTAG_START);
@@ -207,39 +281,37 @@ impl NetPayload {
             NetPayload::Fin => b.put_u8(PTAG_FIN),
             NetPayload::Busy { retry_after_ms } => {
                 b.put_u8(PTAG_BUSY);
-                b.put_u32(*retry_after_ms);
+                put_varint(b, (*retry_after_ms).into());
             }
         }
     }
 
-    fn decode(mut buf: &[u8]) -> Result<NetPayload, FrameError> {
-        if buf.remaining() < 1 {
-            return Err(FrameError::Truncated);
-        }
-        let tag = buf.get_u8();
-        match tag {
-            PTAG_PROTO => Ok(NetPayload::Proto(Message::decode(buf)?)),
-            PTAG_ACK => {
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(NetPayload::Ack { seq: buf.get_u32() })
+    /// Parses a payload that must fill `buf` exactly: bytes left after a
+    /// complete payload are [`FrameError::TrailingBytes`].
+    fn decode(buf: &[u8]) -> Result<NetPayload, FrameError> {
+        let (&tag, mut rest) = buf.split_first().ok_or(FrameError::Truncated)?;
+        let payload = match tag {
+            PTAG_PROTO => {
+                let (msg, after) = Message::decode_prefix(rest)?;
+                rest = after;
+                NetPayload::Proto(msg)
             }
+            PTAG_ACK => NetPayload::Ack { seq: get_varint_u32(&mut rest)? },
             PTAG_START => {
-                if buf.remaining() < 8 {
+                if rest.remaining() < 8 {
                     return Err(FrameError::Truncated);
                 }
-                Ok(NetPayload::Start { digest: buf.get_u64() })
+                NetPayload::Start { digest: rest.get_u64() }
             }
-            PTAG_DONE => Ok(NetPayload::Done),
-            PTAG_FIN => Ok(NetPayload::Fin),
-            PTAG_BUSY => {
-                if buf.remaining() < 4 {
-                    return Err(FrameError::Truncated);
-                }
-                Ok(NetPayload::Busy { retry_after_ms: buf.get_u32() })
-            }
-            other => Err(FrameError::UnknownPayload(other)),
+            PTAG_DONE => NetPayload::Done,
+            PTAG_FIN => NetPayload::Fin,
+            PTAG_BUSY => NetPayload::Busy { retry_after_ms: get_varint_u32(&mut rest)? },
+            other => return Err(FrameError::UnknownPayload(other)),
+        };
+        if rest.is_empty() {
+            Ok(payload)
+        } else {
+            Err(FrameError::TrailingBytes)
         }
     }
 }
@@ -252,14 +324,14 @@ impl Frame {
         let mut payload = BytesMut::new();
         self.payload.encode_into(&mut payload);
         debug_assert!(payload.len() <= MAX_PAYLOAD, "payload over MAX_PAYLOAD");
-        let mut b = BytesMut::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);
+        let mut b = BytesMut::with_capacity(MAX_HEADER_LEN + payload.len() + TRAILER_LEN);
         b.put_u16(MAGIC);
         b.put_u8(VERSION);
         b.put_u8(self.flags);
         b.put_u8(self.sender);
-        b.put_u64(self.session);
-        b.put_u32(self.seq);
-        b.put_u32(payload.len() as u32);
+        put_varint(&mut b, self.session);
+        put_varint(&mut b, self.seq.into());
+        put_varint(&mut b, payload.len() as u64);
         b.put_slice(&payload);
         let crc = crc32(&b);
         b.put_u32(crc);
@@ -285,9 +357,10 @@ impl Frame {
         }
     }
 
-    /// Parses one datagram. Never panics on any input.
+    /// Parses one datagram. Never panics on any input, and accepts only
+    /// the canonical encoding of a frame.
     pub fn decode(buf: &[u8]) -> Result<Frame, FrameError> {
-        if buf.len() < HEADER_LEN + TRAILER_LEN {
+        if buf.len() < MIN_FRAME_LEN {
             return Err(FrameError::Truncated);
         }
         let mut cur: &[u8] = buf;
@@ -301,22 +374,20 @@ impl Frame {
         }
         let flags = cur.get_u8();
         let sender = cur.get_u8();
-        let session = cur.get_u64();
-        let seq = cur.get_u32();
-        let len = cur.get_u32() as usize;
-        if len > MAX_PAYLOAD {
+        let session = get_varint(&mut cur, u64::MAX)?;
+        let seq = get_varint_u32(&mut cur)?;
+        let len = get_varint(&mut cur, u64::MAX)?;
+        if len > MAX_PAYLOAD as u64 {
             return Err(FrameError::BadLength);
         }
-        match buf.len().cmp(&(HEADER_LEN + len + TRAILER_LEN)) {
+        let len = len as usize;
+        match cur.len().cmp(&(len + TRAILER_LEN)) {
             std::cmp::Ordering::Less => return Err(FrameError::Truncated),
             std::cmp::Ordering::Greater => return Err(FrameError::TrailingBytes),
             std::cmp::Ordering::Equal => {}
         }
-        let body = &buf[..HEADER_LEN + len];
-        let declared = u32::from_be_bytes(
-            buf[HEADER_LEN + len..HEADER_LEN + len + 4].try_into().expect("4 bytes"),
-        );
-        if crc32(body) != declared {
+        let (body, mut trailer) = buf.split_at(buf.len() - TRAILER_LEN);
+        if crc32(body) != trailer.get_u32() {
             return Err(FrameError::BadChecksum);
         }
         let payload = NetPayload::decode(&cur[..len])?;
@@ -407,6 +478,7 @@ mod tests {
         }
     }
 
+    /// Every rejection of the fixed-width layout still fires on v2.
     #[test]
     fn rejects_wrong_magic_version_and_trailing() {
         let f = &sample_frames()[2];
@@ -420,6 +492,239 @@ mod tests {
         let mut trailing = enc.to_vec();
         trailing.push(0);
         assert_eq!(Frame::decode(&trailing), Err(FrameError::TrailingBytes));
+        assert_eq!(Frame::decode(&enc[..enc.len() - 1]), Err(FrameError::Truncated));
+        let mut bad_crc = enc.to_vec();
+        bad_crc[enc.len() - 1] ^= 1;
+        assert_eq!(Frame::decode(&bad_crc), Err(FrameError::BadChecksum));
+        // `len` (byte 7) claims more, then less, than the 2 payload bytes.
+        let mut body = enc[..enc.len() - TRAILER_LEN].to_vec();
+        body[7] = 3;
+        assert_eq!(Frame::decode(&sealed(&body)), Err(FrameError::Truncated));
+        body[7] = 1;
+        assert_eq!(Frame::decode(&sealed(&body)), Err(FrameError::TrailingBytes));
+        let unknown = raw(&[0x05], &[0x01], &[0x7f]);
+        assert_eq!(Frame::decode(&unknown), Err(FrameError::UnknownPayload(0x7f)));
+        assert_eq!(Frame::decode(&raw(&[0x05], &[0x01], &[])), Err(FrameError::Truncated));
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// `body` followed by its CRC-32, so only the structure can reject it.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut out = body.to_vec();
+        out.extend_from_slice(&crc32(body).to_be_bytes());
+        out
+    }
+
+    /// A sealed v2 datagram from raw `session` and `seq` varint bytes
+    /// and a payload shorter than 128 bytes (one-byte `len`).
+    fn raw(session: &[u8], seq: &[u8], payload: &[u8]) -> Vec<u8> {
+        let mut body = vec![0x74, 0x41, VERSION, 0, 1];
+        body.extend_from_slice(session);
+        body.extend_from_slice(seq);
+        body.push(payload.len() as u8);
+        body.extend_from_slice(payload);
+        sealed(&body)
+    }
+
+    /// Pins the v2 layout byte for byte, one frame per payload kind. Each
+    /// golden reads `magic version flags sender`, `session`, `seq`,
+    /// `len`, payload tag, payload fields, `crc32`.
+    #[test]
+    fn golden_v2_encodings() {
+        let golden = [
+            (
+                Frame {
+                    flags: FLAG_RELIABLE,
+                    sender: 0,
+                    session: 300,
+                    seq: 2,
+                    payload: NetPayload::Proto(Message::PlanAnnounce {
+                        seed: 0x0102_0304_0506_0708,
+                        m: 12,
+                        l: 3,
+                    }),
+                },
+                concat!(
+                    "7441020100",
+                    "ac02",
+                    "02",
+                    "0e",
+                    "01",
+                    "080102030405060708000c0003",
+                    "5d172426"
+                ),
+            ),
+            (
+                Frame {
+                    flags: 0,
+                    sender: 2,
+                    session: 1,
+                    seq: 0,
+                    payload: NetPayload::Ack { seq: 300 },
+                },
+                concat!("7441020002", "01", "00", "03", "02", "ac02", "dbbcff40"),
+            ),
+            (
+                Frame {
+                    flags: FLAG_RELIABLE,
+                    sender: 0,
+                    session: 1,
+                    seq: 1,
+                    payload: NetPayload::Start { digest: 0xDEAD_BEEF_CAFE_F00D },
+                },
+                concat!("7441020100", "01", "01", "09", "03", "deadbeefcafef00d", "8777921e"),
+            ),
+            (
+                Frame {
+                    flags: FLAG_RELIABLE,
+                    sender: 3,
+                    session: 1,
+                    seq: 5,
+                    payload: NetPayload::Done,
+                },
+                concat!("7441020103", "01", "05", "01", "04", "1513ac8e"),
+            ),
+            (
+                Frame {
+                    flags: FLAG_RELIABLE,
+                    sender: 0,
+                    session: 1,
+                    seq: 6,
+                    payload: NetPayload::Fin,
+                },
+                concat!("7441020100", "01", "06", "01", "05", "27f25891"),
+            ),
+            (
+                Frame {
+                    flags: 0,
+                    sender: 1,
+                    session: 128,
+                    seq: 0,
+                    payload: NetPayload::Busy { retry_after_ms: 250 },
+                },
+                concat!("7441020001", "8001", "00", "03", "06", "fa01", "4f26b9c2"),
+            ),
+        ];
+        for (frame, want) in golden {
+            let enc = frame.encode();
+            assert_eq!(hex(&enc), want, "{}", frame.payload.kind_name());
+            assert_eq!(Frame::decode(&enc), Ok(frame));
+        }
+    }
+
+    #[test]
+    fn boundary_frames_round_trip_at_their_widest() {
+        let widest = Frame {
+            flags: FLAG_RELIABLE,
+            sender: u8::MAX,
+            session: u64::MAX,
+            seq: u32::MAX,
+            payload: NetPayload::Ack { seq: u32::MAX },
+        };
+        let enc = widest.encode();
+        // session: nine 0xff groups and a final 0x01; seq: 0xff x4, 0x0f.
+        assert_eq!(&enc[5..15], &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
+        assert_eq!(&enc[15..20], &[0xff, 0xff, 0xff, 0xff, 0x0f]);
+        assert_eq!(enc.len(), FIXED_LEN + 10 + 5 + 1 + 6 + TRAILER_LEN);
+        assert_eq!(Frame::decode(&enc), Ok(widest));
+
+        // An x-packet whose payload field is exactly MAX_PAYLOAD bytes:
+        // payload tag, message tag, id, owner and length take 7.
+        let full = Frame {
+            flags: 0,
+            sender: 1,
+            session: 9,
+            seq: 3,
+            payload: NetPayload::Proto(Message::XPacket {
+                id: 1,
+                owner: 1,
+                payload: vec![0xA5; MAX_PAYLOAD - 7],
+            }),
+        };
+        let enc = full.encode();
+        assert_eq!(&enc[7..10], &[0x80, 0x80, 0x04], "len 65536 as a 3-byte varint");
+        assert_eq!(enc.len(), FIXED_LEN + 1 + 1 + 3 + MAX_PAYLOAD + TRAILER_LEN);
+        assert_eq!(Frame::decode(&enc), Ok(full));
+        // One more byte of declared length is over the cap.
+        let mut over = enc[..7].to_vec();
+        over.extend_from_slice(&[0x81, 0x80, 0x04]);
+        over.extend_from_slice(&enc[10..enc.len() - TRAILER_LEN]);
+        over.push(0);
+        assert_eq!(Frame::decode(&sealed(&over)), Err(FrameError::BadLength));
+    }
+
+    #[test]
+    fn a_v1_datagram_is_rejected_as_bad_version() {
+        // v1: session(8) seq(4) len(4) as fixed big-endian fields.
+        let mut v1 = vec![0x74, 0x41, 1, FLAG_RELIABLE, 0];
+        v1.extend_from_slice(&5u64.to_be_bytes());
+        v1.extend_from_slice(&2u32.to_be_bytes());
+        v1.extend_from_slice(&1u32.to_be_bytes());
+        v1.push(PTAG_FIN);
+        assert_eq!(Frame::decode(&sealed(&v1)), Err(FrameError::BadVersion(1)));
+    }
+
+    #[test]
+    fn non_canonical_varints_are_rejected() {
+        let done = [PTAG_DONE];
+        assert!(Frame::decode(&raw(&[0x05], &[0x01], &done)).is_ok(), "canonical control");
+        let cases: [(&str, &[u8], &[u8]); 6] = [
+            ("session 5 padded to two bytes", &[0x85, 0x00], &[0x01]),
+            ("session 0 padded to two bytes", &[0x80, 0x00], &[0x01]),
+            ("seq 1 padded to three bytes", &[0x05], &[0x81, 0x80, 0x00]),
+            ("seq u32::MAX + 1", &[0x05], &[0x80, 0x80, 0x80, 0x80, 0x10]),
+            (
+                "session past bit 63",
+                &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+                &[0x01],
+            ),
+            ("session of eleven bytes", &[0x80; 11], &[0x01]),
+        ];
+        for (what, session, seq) in cases {
+            assert_eq!(
+                Frame::decode(&raw(session, seq, &done)),
+                Err(FrameError::BadVarint),
+                "{what}"
+            );
+        }
+        // The same rules hold for the Ack and Busy payload fields.
+        let payloads: [&[u8]; 3] = [
+            &[PTAG_ACK, 0x84, 0x00],
+            &[PTAG_ACK, 0x80, 0x80, 0x80, 0x80, 0x10],
+            &[PTAG_BUSY, 0xfa, 0x81, 0x00],
+        ];
+        for p in payloads {
+            assert_eq!(
+                Frame::decode(&raw(&[0x05], &[0x01], p)),
+                Err(FrameError::BadVarint),
+                "{p:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn leftover_payload_bytes_are_trailing() {
+        let plan = Message::PlanAnnounce { seed: 1, m: 2, l: 1 }.encode();
+        let mut proto = vec![PTAG_PROTO];
+        proto.extend_from_slice(&plan);
+        assert!(Frame::decode(&raw(&[0x05], &[0x01], &proto)).is_ok());
+        proto.push(0xEE);
+        let payloads: [&[u8]; 4] = [
+            &proto,
+            &[PTAG_ACK, 0x04, 0xEE],
+            &[PTAG_DONE, 0x00],
+            &[PTAG_START, 0, 0, 0, 0, 0, 0, 0, 1, 2],
+        ];
+        for p in payloads {
+            assert_eq!(
+                Frame::decode(&raw(&[0x05], &[0x01], p)),
+                Err(FrameError::TrailingBytes),
+                "{p:?}"
+            );
+        }
     }
 
     #[test]

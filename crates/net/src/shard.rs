@@ -20,11 +20,14 @@
 //! datagram from one peer socket lands on **one** of our sockets — the
 //! kernel cannot dispatch by session id. The receiving shard therefore
 //! decodes each frame and forwards the ones it does not own to the
-//! owning sibling over an mpsc injection queue, ringing the sibling's
-//! waker (which interrupts its `epoll_wait` via the runtime's eventfd
-//! doorbell). Sends need no such hop: all shard sockets share the
-//! bound source address, so a frame sent from any shard passes the
-//! remote roster's source-address check identically.
+//! owning sibling's inbox, ringing the sibling's waker (which
+//! interrupts its `epoll_wait` via the runtime's eventfd doorbell).
+//! Every forwarded frame is accounted for: `net.shard.forwarded` equals
+//! `net.shard.injected` plus `net.shard.dropped`, the frames that met an
+//! inbox already closed by its shard's shutdown. Sends need no such hop:
+//! all shard sockets share the bound source address, so a frame sent
+//! from any shard passes the remote roster's source-address check
+//! identically.
 //!
 //! # Per-shard state & admission alignment
 //!
@@ -37,13 +40,13 @@
 //! every daemon sees the same Start sub-stream in near-identical order
 //! and re-admits in the same order.
 
+use std::collections::VecDeque;
 use std::future::Future;
 use std::io;
 use std::net::SocketAddr;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
@@ -69,27 +72,46 @@ pub fn shard_of(session: u64, workers: usize) -> usize {
     (z % workers as u64) as usize
 }
 
-/// A sibling shard's frame-injection handle: enqueue a frame it owns,
-/// then wake its pump (the wake crosses threads — the target's ready
-/// queue is mutex-guarded and rings its eventfd doorbell if the target
-/// executor is parked in `epoll_wait`).
-struct ShardInjector {
-    tx: mpsc::Sender<Frame>,
-    wake: Arc<Mutex<Option<Waker>>>,
+/// A shard's cross-shard inbox: frames its siblings forwarded to it,
+/// and the waker that interrupts its executor (the wake crosses threads
+/// — the target's ready queue is mutex-guarded and rings its eventfd
+/// doorbell if the target executor is parked in `epoll_wait`).
+///
+/// Every forwarded frame ends in exactly one of `net.shard.injected`
+/// (the owner took it) or `net.shard.dropped` (it reached the inbox after
+/// the owner closed it, or was still queued when the owner closed it), so
+/// `forwarded == injected + dropped` holds exactly once every shard has
+/// stopped.
+#[derive(Default)]
+struct Inbox {
+    frames: VecDeque<Frame>,
+    waker: Option<Waker>,
+    closed: bool,
 }
 
-impl ShardInjector {
-    fn push(&self, frame: Frame) {
-        // A closed queue means the sibling already shut down; the frame
-        // is indistinguishable from one lost on the wire, which the
-        // protocol absorbs.
-        if self.tx.send(frame).is_err() {
-            return;
-        }
-        let waker = self.wake.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone();
-        if let Some(w) = waker {
-            w.wake();
-        }
+type SharedInbox = Arc<Mutex<Inbox>>;
+
+/// Every update leaves an inbox consistent, so a lock poisoned by a
+/// panicking holder is still safe to use.
+fn lock(inbox: &SharedInbox) -> MutexGuard<'_, Inbox> {
+    inbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// Hands `frame` to a sibling's inbox and wakes it. A closed inbox means
+/// the sibling already shut down; the frame is indistinguishable from
+/// one lost on the wire, which the protocol absorbs, and is counted.
+fn push(inbox: &SharedInbox, frame: Frame) {
+    let mut q = lock(inbox);
+    if q.closed {
+        drop(q);
+        crate::telemetry::counter_add("net.shard.dropped", 1);
+        return;
+    }
+    q.frames.push_back(frame);
+    let waker = q.waker.clone();
+    drop(q);
+    if let Some(w) = waker {
+        w.wake();
     }
 }
 
@@ -101,12 +123,11 @@ pub struct ShardTransport {
     udp: UdpTransport,
     shard: usize,
     workers: usize,
-    rx: mpsc::Receiver<Frame>,
-    /// Injection handles indexed by shard (`None` at our own index).
-    siblings: Vec<Option<ShardInjector>>,
-    /// Our own wake slot, registered on every pending poll so siblings
-    /// can interrupt our executor.
-    wake: Arc<Mutex<Option<Waker>>>,
+    /// Our own inbox; its waker is registered on every empty poll so
+    /// siblings can interrupt our executor.
+    inbox: SharedInbox,
+    /// Siblings' inboxes indexed by shard (`None` at our own index).
+    siblings: Vec<Option<SharedInbox>>,
     /// Frames received on our socket but owned (and handed to) another
     /// shard.
     forwarded: u64,
@@ -140,12 +161,39 @@ impl ShardTransport {
         self.injected
     }
 
-    fn update_wake(&self, cx: &Context<'_>) {
-        let mut slot = self.wake.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        match slot.as_ref() {
-            Some(w) if w.will_wake(cx.waker()) => {}
-            _ => *slot = Some(cx.waker().clone()),
+    /// Closes this shard's inbox: frames still queued in it, and any a
+    /// sibling forwards later, are counted as `net.shard.dropped`. A
+    /// worker closes it before snapshotting its telemetry; dropping the
+    /// transport closes it too.
+    pub fn close(&self) {
+        let mut inbox = lock(&self.inbox);
+        inbox.closed = true;
+        inbox.waker = None;
+        let left = std::mem::take(&mut inbox.frames).len() as u64;
+        drop(inbox);
+        if left > 0 {
+            crate::telemetry::counter_add("net.shard.dropped", left);
         }
+    }
+
+    /// The next sibling-injected frame; with none queued, registers our
+    /// waker under the same lock, so a racing injection finds it.
+    fn take_injected(&self, cx: &Context<'_>) -> Option<Frame> {
+        let mut inbox = lock(&self.inbox);
+        let frame = inbox.frames.pop_front();
+        if frame.is_none() {
+            match &inbox.waker {
+                Some(w) if w.will_wake(cx.waker()) => {}
+                _ => inbox.waker = Some(cx.waker().clone()),
+            }
+        }
+        frame
+    }
+}
+
+impl Drop for ShardTransport {
+    fn drop(&mut self) {
+        self.close();
     }
 }
 
@@ -170,15 +218,11 @@ impl Transport for ShardTransport {
         loop {
             // Sibling-injected frames first: they were already decoded,
             // validated, and waited once on another shard's queue.
-            if let Ok(frame) = self.rx.try_recv() {
+            if let Some(frame) = self.take_injected(cx) {
                 self.injected += 1;
                 crate::telemetry::counter_add("net.shard.injected", 1);
                 return Poll::Ready(Ok(frame));
             }
-            // Arm the cross-shard wake slot before the final queue check
-            // below, so an injection racing this poll either lands in
-            // the queue in time or finds a waker to ring.
-            self.update_wake(cx);
             match self.udp.poll_recv(cx) {
                 Poll::Ready(Ok(frame)) => {
                     let owner = shard_of(frame.session, self.workers);
@@ -188,22 +232,10 @@ impl Transport for ShardTransport {
                     self.forwarded += 1;
                     crate::telemetry::counter_add("net.shard.forwarded", 1);
                     if let Some(sib) = &self.siblings[owner] {
-                        sib.push(frame);
+                        push(sib, frame);
                     }
                 }
-                Poll::Ready(Err(e)) => return Poll::Ready(Err(e)),
-                Poll::Pending => {
-                    // Close the race window between the try_recv above
-                    // and the wake-slot update: an injection in that
-                    // window saw no waker, but we can still see the
-                    // frame.
-                    if let Ok(frame) = self.rx.try_recv() {
-                        self.injected += 1;
-                        crate::telemetry::counter_add("net.shard.injected", 1);
-                        return Poll::Ready(Ok(frame));
-                    }
-                    return Poll::Pending;
-                }
+                other => return other,
             }
         }
     }
@@ -246,35 +278,18 @@ pub fn shard_group(
     node: u8,
 ) -> Vec<ShardTransport> {
     let workers = sockets.len();
-    let mut txs = Vec::with_capacity(workers);
-    let mut rxs = Vec::with_capacity(workers);
-    let mut wakes = Vec::with_capacity(workers);
-    for _ in 0..workers {
-        let (tx, rx) = mpsc::channel();
-        txs.push(tx);
-        rxs.push(rx);
-        wakes.push(Arc::new(Mutex::new(None::<Waker>)));
-    }
+    let inboxes: Vec<SharedInbox> = (0..workers).map(|_| SharedInbox::default()).collect();
     sockets
         .into_iter()
-        .zip(rxs)
         .enumerate()
-        .map(|(i, (sock, rx))| {
-            let siblings = (0..workers)
-                .map(|j| {
-                    (j != i).then(|| ShardInjector { tx: txs[j].clone(), wake: wakes[j].clone() })
-                })
-                .collect();
-            ShardTransport {
-                udp: UdpTransport::new(sock, peers.clone(), node),
-                shard: i,
-                workers,
-                rx,
-                siblings,
-                wake: wakes[i].clone(),
-                forwarded: 0,
-                injected: 0,
-            }
+        .map(|(i, sock)| ShardTransport {
+            udp: UdpTransport::new(sock, peers.clone(), node),
+            shard: i,
+            workers,
+            inbox: inboxes[i].clone(),
+            siblings: (0..workers).map(|j| (j != i).then(|| inboxes[j].clone())).collect(),
+            forwarded: 0,
+            injected: 0,
         })
         .collect()
 }
@@ -293,7 +308,8 @@ pub struct ShardReport {
     /// `collect_outcomes`).
     pub outcomes: Vec<SessionOutcome>,
     /// The worker thread's telemetry registry at exit (includes
-    /// `net.shard.forwarded` / `net.shard.injected`).
+    /// `net.shard.forwarded` / `net.shard.injected` /
+    /// `net.shard.dropped`).
     pub snapshot: crate::telemetry::Snapshot,
     /// The worker runtime's executor counters at exit.
     pub rt_metrics: rt::Metrics,
@@ -445,6 +461,9 @@ fn shard_worker(
             }
         }
         let stats = run.await?;
+        // Frames a sibling forwarded here after the server stopped are
+        // counted before the snapshot, here or on the sibling.
+        tap.with(ShardTransport::close);
         Ok(ShardReport {
             shard,
             stats,
@@ -492,5 +511,34 @@ mod tests {
         for s in &sockets[1..] {
             assert_eq!(s.local_addr().expect("addr").port(), port);
         }
+    }
+
+    /// A forwarded frame that a stopped shard never takes is counted,
+    /// whether it was still queued when the shard closed its inbox or
+    /// was forwarded after.
+    #[test]
+    fn frames_meeting_a_closed_inbox_count_as_dropped() {
+        let sockets =
+            bind_shard_sockets("127.0.0.1:0".parse().expect("addr"), 2).expect("bind group");
+        let roster = vec![sockets[0].local_addr().expect("addr"); 2];
+        let group = shard_group(sockets, roster, 1);
+        let to_second = group[0].siblings[1].as_ref().expect("sibling inbox");
+        let fin = Frame {
+            flags: 0,
+            sender: 0,
+            session: 7,
+            seq: 1,
+            payload: crate::frame::NetPayload::Fin,
+        };
+        let dropped =
+            || crate::telemetry::snapshot().counters.get("net.shard.dropped").copied().unwrap_or(0);
+        let before = dropped();
+        push(to_second, fin.clone());
+        assert_eq!(dropped(), before, "an open inbox queues the frame");
+        group[1].close();
+        assert_eq!(dropped(), before + 1, "the queued frame counts at close");
+        push(to_second, fin);
+        assert_eq!(dropped(), before + 2, "a frame forwarded after close counts");
+        assert!(lock(to_second).frames.is_empty());
     }
 }

@@ -79,6 +79,35 @@ fn arb_payload() -> impl Strategy<Value = NetPayload> {
     ]
 }
 
+/// `v` as LEB128, padded with `pad` redundant zero groups (`pad > 0`
+/// gives a non-canonical spelling of the same value).
+fn leb128(mut v: u64, pad: usize) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    for _ in 0..pad {
+        *out.last_mut().expect("nonempty") |= 0x80;
+        out.push(0);
+    }
+    out
+}
+
+/// Splits a canonical encoding into its payload bytes: skips the fixed
+/// fields and the `session`, `seq` and `len` varints, drops the CRC.
+fn payload_bytes(enc: &[u8]) -> &[u8] {
+    let mut at = 5;
+    for _ in 0..3 {
+        while enc[at] & 0x80 != 0 {
+            at += 1;
+        }
+        at += 1;
+    }
+    &enc[at..enc.len() - 4]
+}
+
 fn arb_frame() -> impl Strategy<Value = Frame> {
     (arb_payload(), any::<u8>(), any::<u64>(), any::<u32>(), any::<bool>()).prop_map(
         |(payload, sender, session, seq, reliable)| Frame {
@@ -187,6 +216,65 @@ proptest! {
         match Frame::decode(&bad) {
             Err(_) => {}
             Ok(got) => prop_assert_eq!(got, frame, "double flip at bits {}/{} accepted", a, b),
+        }
+    }
+}
+
+proptest! {
+    // Cheap per case, and an accepted non-canonical spelling is rare in
+    // random edits: run many more cases than the default.
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// Canonical decoding: any datagram the codec accepts re-encodes to
+    /// exactly its own bytes, so no two datagrams decode to one frame.
+    /// The inputs are valid frames with up to two bytes changed and the
+    /// checksum refreshed, so the structure alone has to reject.
+    #[test]
+    fn accepted_datagrams_re_encode_identically(
+        frame in arb_frame(),
+        edits in proptest::collection::vec((0.0f64..1.0, any::<u8>()), 1..3),
+    ) {
+        let enc = frame.encode();
+        let mut body = enc[..enc.len() - 4].to_vec();
+        for (pos_frac, byte) in edits {
+            let pos = ((body.len() - 1) as f64 * pos_frac) as usize;
+            body[pos] = byte;
+        }
+        let crc = crc32(&body).to_be_bytes();
+        body.extend_from_slice(&crc);
+        if let Ok(got) = Frame::decode(&body) {
+            prop_assert_eq!(&got.encode()[..], &body[..], "{:?}", got);
+        }
+    }
+
+    /// A frame re-assembled with a padded `session`, `seq` or `len`
+    /// varint, or with junk after its payload (and `len` counting it), is
+    /// rejected even under a valid checksum; the canonical assembly is
+    /// accepted.
+    #[test]
+    fn only_the_canonical_assembly_is_accepted(
+        frame in arb_frame(),
+        pads in (0usize..3, 0usize..3, 0usize..3),
+        junk in proptest::collection::vec(any::<u8>(), 0..3),
+    ) {
+        let enc = frame.encode();
+        let mut payload = payload_bytes(&enc).to_vec();
+        payload.extend_from_slice(&junk);
+        let mut body = enc[..5].to_vec();
+        body.extend(leb128(frame.session, pads.0));
+        body.extend(leb128(frame.seq.into(), pads.1));
+        body.extend(leb128(payload.len() as u64, pads.2));
+        body.extend_from_slice(&payload);
+        let crc = crc32(&body).to_be_bytes();
+        body.extend_from_slice(&crc);
+        let canonical = pads == (0, 0, 0) && junk.is_empty();
+        match Frame::decode(&body) {
+            Ok(got) => {
+                prop_assert!(canonical, "non-canonical assembly accepted as {:?}", got);
+                prop_assert_eq!(&body[..], &enc[..]);
+                prop_assert_eq!(got, frame);
+            }
+            Err(e) => prop_assert!(!canonical, "canonical assembly rejected: {}", e),
         }
     }
 }
