@@ -6,11 +6,13 @@
 //! | id                    | alias        | invariant                                  |
 //! |-----------------------|--------------|--------------------------------------------|
 //! | `determinism`         | `determinism`| no wall clock / unordered maps in verdict, |
-//! |                       |              | fingerprint, or schedule-enumeration code  |
+//! |                       |              | fingerprint, or schedule-enumeration code; |
+//! |                       |              | no wall clock in code the virtual clock    |
+//! |                       |              | runs                                       |
 //! | `unsafe-confinement`  | `unsafe`     | `unsafe` only in `net::sys` + `compat`,    |
 //! |                       |              | every block preceded by `// SAFETY:`       |
 //! | `panic-free-hot-path` | `panic`      | no unwrap/expect/panic!/unreachable! in    |
-//! |                       |              | the serve hot path                         |
+//! |                       |              | the serve hot path (demux, node, serve, …) |
 //! | `telemetry-names`     | `telemetry`  | metric names lowercase dot-separated; one  |
 //! |                       |              | kind (counter/gauge/hist) per name         |
 //! | `wire-tags`           | `wire`       | tag constants unique; every `Message`      |
@@ -50,11 +52,29 @@ const DETERMINISM_FILES: [&str; 5] = [
     "crates/scenario/src/trace_check.rs",
 ];
 
-/// Tokens banned in determinism-critical files, with the reason used in
-/// the finding message.
-const DETERMINISM_BANNED: [(&str, &str); 6] = [
+/// Files whose code also runs under `rt::block_on_virtual` (the
+/// explorer, the liveness pins): they must read time through
+/// `rt::now()`, so only the wall-clock half of the ban applies. A wall
+/// clock there makes a virtual-time wait spin on a deadline already in
+/// the virtual past.
+const VIRTUAL_CLOCK_FILES: [&str; 6] = [
+    "crates/net/src/coordinator.rs",
+    "crates/net/src/demux.rs",
+    "crates/net/src/node.rs",
+    "crates/net/src/reliable.rs",
+    "crates/net/src/serve.rs",
+    "crates/net/src/terminal.rs",
+];
+
+/// Wall-clock reads, banned in both file sets above.
+const WALL_CLOCK_BANNED: [(&str, &str); 2] = [
     ("Instant::now", "wall-clock read on a deterministic path"),
     ("SystemTime", "wall-clock read on a deterministic path"),
+];
+
+/// Further tokens banned in determinism-critical files, with the reason
+/// used in the finding message.
+const DETERMINISM_BANNED: [(&str, &str); 4] = [
     ("thread::current", "thread identity is schedule-dependent"),
     ("HashMap", "iteration order is nondeterministic; use BTreeMap"),
     ("HashSet", "iteration order is nondeterministic; use BTreeSet"),
@@ -71,7 +91,9 @@ const SAFETY_LOOKBACK: usize = 3;
 
 /// The serve hot path: modules where a panic takes down a daemon
 /// serving thousands of concurrent sessions.
-const HOT_PATH_FILES: [&str; 6] = [
+const HOT_PATH_FILES: [&str; 8] = [
+    "crates/net/src/demux.rs",
+    "crates/net/src/node.rs",
     "crates/net/src/reliable.rs",
     "crates/net/src/serve.rs",
     "crates/net/src/shard.rs",
@@ -171,22 +193,20 @@ fn path_in(rel: &str, set: &[&str]) -> bool {
 // ---------------------------------------------------------------------------
 
 pub fn determinism(file: &SourceFile, findings: &mut Vec<Finding>) {
-    if !path_in(&file.rel, &DETERMINISM_FILES) {
+    let (scope, extra): (&str, &[(&str, &str)]) = if path_in(&file.rel, &DETERMINISM_FILES) {
+        ("determinism-critical module", &DETERMINISM_BANNED)
+    } else if path_in(&file.rel, &VIRTUAL_CLOCK_FILES) {
+        ("module run under the virtual clock (use `rt::now()`)", &[])
+    } else {
         return;
-    }
+    };
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test {
             continue;
         }
-        for (token, why) in DETERMINISM_BANNED {
+        for (token, why) in WALL_CLOCK_BANNED.iter().chain(extra) {
             if has_word(&line.code, token) {
-                push(
-                    findings,
-                    "determinism",
-                    file,
-                    idx,
-                    format!("`{token}` in determinism-critical module: {why}"),
-                );
+                push(findings, "determinism", file, idx, format!("`{token}` in {scope}: {why}"));
             }
         }
     }

@@ -31,6 +31,7 @@ fn seeded_fixtures_fire_each_rule_at_exact_sites() {
             ("determinism", "crates/net/src/chaos.rs", 5),
             ("telemetry-names", "crates/net/src/metrics_use.rs", 4),
             ("telemetry-names", "crates/net/src/metrics_use.rs", 7),
+            ("determinism", "crates/net/src/node.rs", 5),
             ("panic-free-hot-path", "crates/net/src/serve.rs", 5),
             ("unsafe-confinement", "crates/net/src/serve.rs", 14),
             ("unsafe-confinement", "crates/net/src/sys.rs", 10),
@@ -49,6 +50,8 @@ fn seeded_fixtures_fire_each_rule_at_exact_sites() {
     };
     assert!(msg("wire-tags", 5).contains("duplicates value 0x01"));
     assert!(msg("determinism", 5).contains("Instant::now"));
+    let virtual_clock = findings.iter().find(|f| f.file == "crates/net/src/node.rs");
+    assert!(virtual_clock.is_some_and(|f| f.msg.contains("rt::now()")));
     assert!(msg("telemetry-names", 4).contains("`BadName`"));
     assert!(msg("telemetry-names", 7).contains("multiple kinds (counter, hist)"));
     assert!(msg("unsafe-confinement", 10).contains("SAFETY"));

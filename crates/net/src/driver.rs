@@ -1,19 +1,23 @@
 //! The multi-session driver: many concurrent group rounds over any
 //! transport, with measurement.
 //!
-//! [`crate::demo`]'s helpers run rounds and return outcomes; experiment
-//! harnesses need more — the transmitted-bit ledger, the frame count,
-//! and every node's outcome — without hand-wiring nodes, pumps and
-//! tasks themselves. This module is that API: [`drive_nodes`] runs a
-//! batch of sessions across an arbitrary set of prepared nodes, and
+//! Harnesses need every node's outcome — and, over a simulated medium,
+//! the transmitted-bit ledger and the frame count — without hand-wiring
+//! nodes, pumps and tasks themselves. This module is that API:
+//! [`drive_nodes`] runs a batch of sessions across an arbitrary set of
+//! prepared nodes, [`drive_loopback`] binds one loopback UDP socket per
+//! node first (the `thinaird demo` subcommand, the crate doctest), and
 //! [`drive_sim`] wraps a [`Medium`] in a [`SimNet`], drives the batch,
 //! and returns the outcomes *plus* the simulation-side measurements
-//! ([`SimRun`]). The `thinair-scenario` engine is its main consumer; the
-//! demo helpers are now thin wrappers over it.
+//! ([`SimRun`]). The `thinair-scenario` engine is its main consumer.
+//! Real multi-process deployment runs the same state machines, one
+//! process per node (`thinaird coordinator` / `terminal`).
 //!
 //! Every (session, node) role task is spawned up front, so sessions are
 //! genuinely concurrent — multiplexed by session id over each node's one
 //! transport, exercising the same routing a long-lived daemon uses.
+
+use std::net::SocketAddr;
 
 use thinair_netsim::{FaultPlan, Medium, TxStats};
 
@@ -21,7 +25,8 @@ use crate::chaos::FaultStats;
 use crate::node::Node;
 use crate::rt;
 use crate::session::{NetError, SessionConfig, SessionOutcome};
-use crate::transport::{SimNet, Transport};
+use crate::transport::{SimNet, Transport, UdpTransport};
+use crate::udp::AsyncUdpSocket;
 
 /// Mixes a per-task seed out of the run seed, the session id and the
 /// node id, so no two tasks draw identical payload streams.
@@ -103,6 +108,30 @@ pub fn drive_nodes<T: Transport + 'static>(
         }
         Ok(all)
     })
+}
+
+/// Runs `sessions` concurrent group rounds with `cfg.n_nodes` nodes over
+/// loopback UDP sockets, one socket per node, every node's sessions
+/// multiplexed through its one receive loop. Returns
+/// `outcomes[s][node]` in input order.
+pub fn drive_loopback(
+    cfg: &SessionConfig,
+    sessions: &[u64],
+    seed: u64,
+) -> Result<Vec<Vec<SessionOutcome>>, NetError> {
+    let n = cfg.n_nodes as usize;
+    // Bind first so the full roster is known to every node. `n <= 256`
+    // by type, so the `i as u8` node ids below cannot wrap.
+    let socks: Vec<AsyncUdpSocket> =
+        (0..n).map(|_| AsyncUdpSocket::bind("127.0.0.1:0")).collect::<std::io::Result<_>>()?;
+    let addrs: Vec<SocketAddr> =
+        socks.iter().map(|s| s.local_addr()).collect::<std::io::Result<_>>()?;
+    let nodes: Vec<Node<UdpTransport>> = socks
+        .into_iter()
+        .enumerate()
+        .map(|(i, s)| Node::new(UdpTransport::new(s, addrs.clone(), i as u8)))
+        .collect();
+    drive_nodes(cfg, &nodes, sessions, seed)
 }
 
 /// Drives a batch of sessions over a simulated [`Medium`] and returns

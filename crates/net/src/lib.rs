@@ -35,13 +35,16 @@
 //!   re-derivation, erasure injection (iid hash or pluggable per-receiver
 //!   [`thinair_netsim::ErasureModel`] chains), secret reconstruction.
 //! * [`coordinator`] / [`terminal`] — the two role state machines.
+//! * `demux` (crate-private) — the one receive loop per transport: routes
+//!   frames by session id, re-acks late frames of finished sessions from
+//!   its TIME_WAIT window, and counts orphans; [`node`] and [`serve`]
+//!   both run it.
 //! * [`node`] — one socket, many concurrent sessions (session-id
 //!   routing), the daemon building block.
 //! * [`serve`] — the long-lived daemon layer: a [`serve::Server`]
 //!   auto-admits terminal sessions initiated by a coordinator, with
-//!   admission caps, idle eviction and terminal-state GC
-//!   ([`serve::SessionRegistry`]) — thousands of concurrent sessions
-//!   multiplexed over one socket.
+//!   admission caps, FIFO re-admission, idle eviction and terminal-state
+//!   GC — thousands of concurrent sessions multiplexed over one socket.
 //! * [`shard`] — multi-core serve: N worker threads, each its own
 //!   runtime + registry + `SO_REUSEPORT` socket on one shared address,
 //!   with session-id-hash dispatch and cross-shard frame forwarding
@@ -49,9 +52,10 @@
 //! * [`sys`] — the thin Linux FFI this rests on (epoll, eventfd,
 //!   `SO_REUSEPORT`); the only module allowed `unsafe`, with graceful
 //!   non-Linux fallbacks.
-//! * [`driver`] — the multi-session experiment driver: a batch of
-//!   concurrent sessions over prepared nodes or a simulated medium, with
-//!   bit/frame measurements (`thinair-scenario`'s substrate).
+//! * [`driver`] — the multi-session driver: a batch of concurrent
+//!   sessions over prepared nodes, loopback UDP sockets or a simulated
+//!   medium, with bit/frame measurements (`thinair-scenario`'s
+//!   substrate, and the `thinaird demo` subcommand).
 //! * [`telemetry`] — the unified observability registry: named
 //!   counters/gauges, log2-bucketed histograms with bounded-error
 //!   percentiles, and a per-session span/event trace with JSONL
@@ -64,11 +68,11 @@
 //! # Example (in-process loopback round)
 //!
 //! ```
-//! use thinair_net::demo::loopback_round;
+//! use thinair_net::driver::drive_loopback;
 //! use thinair_net::session::SessionConfig;
 //!
 //! let cfg = SessionConfig { n_nodes: 4, ..SessionConfig::default() };
-//! let outcomes = loopback_round(&cfg, 0x1234, 42).expect("round completes");
+//! let outcomes = drive_loopback(&cfg, &[0x1234], 42).expect("round completes").remove(0);
 //! assert_eq!(outcomes.len(), 4);
 //! // Every node derived the identical secret.
 //! for pair in outcomes.windows(2) {
@@ -84,7 +88,7 @@
 
 pub mod chaos;
 pub mod coordinator;
-pub mod demo;
+mod demux;
 pub mod driver;
 pub mod frame;
 pub mod node;
@@ -100,11 +104,11 @@ pub mod transport;
 pub mod udp;
 
 pub use chaos::FaultStats;
-pub use driver::{drive_nodes, drive_sim, drive_sim_chaos, SimRun};
+pub use driver::{drive_loopback, drive_nodes, drive_sim, drive_sim_chaos, SimRun};
 pub use frame::{Frame, NetPayload};
 pub use node::Node;
 pub use reliable::{backoff_delay, FlowBudget, RetransmitPolicy};
-pub use serve::{ServeHandle, ServeLimits, ServeStats, Server, SessionRegistry};
+pub use serve::{ServeHandle, ServeLimits, ServeStats, Server};
 pub use session::{AbortReason, NetError, SessionConfig, SessionOutcome, SessionTrace};
 pub use shard::{
     bind_shard_sockets, run_sharded_serve, shard_group, shard_of, ShardReport, ShardTransport,

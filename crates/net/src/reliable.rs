@@ -748,22 +748,22 @@ fn ack_of(me: u8, frame: &Frame) -> Frame {
 /// window behave like unknown sessions again, keeping memory O(window).
 pub const SPENT_WINDOW: usize = 8192;
 
-/// Recently terminated session ids in a bounded FIFO window: a router's
-/// TIME_WAIT state, after TCP's (RFC 9293 §3.3.2).
+/// Recently terminated session ids in a bounded FIFO window: a receive
+/// loop's TIME_WAIT state, after TCP's (RFC 9293 §3.3.2).
 ///
 /// Every id in the window is *spent*: a duplicated or chaos-delayed
 /// `Start` arriving after its session finished must not re-admit a
 /// ghost session. An id whose terminal **completed** also keeps a
 /// re-ack entry until that session's deadline: a reliable frame its
 /// coordinator retransmits after the terminal returned — a `Fin` whose
-/// ack was lost — is answered with the `Ack` by the router itself, with
-/// no task and no admission slot, so the coordinator's fin barrier
+/// ack was lost — is answered with the `Ack` by the receive loop itself,
+/// with no task and no admission slot, so the coordinator's fin barrier
 /// always closes. Aborted and evicted ids stay spent but unanswered: an
 /// aborted terminal holds no key, so acking on its behalf would let the
 /// coordinator believe the group converged.
 ///
-/// The serve registry and [`crate::node::Node`]'s pump share this one
-/// window type.
+/// Each transport's demux (`net::demux`) owns one window, whether a
+/// [`crate::node::Node`] or a [`crate::serve::Server`] runs its loop.
 #[derive(Debug, Default)]
 pub struct TimeWait {
     /// Spent ids; `Some` while the id re-acks.

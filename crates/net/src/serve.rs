@@ -6,11 +6,13 @@
 //! agreement for many device pairs on a shared medium — needs the dual:
 //! a terminal daemon that sits on its socket and serves whatever group
 //! rounds coordinators initiate, without a human opening each one. That
-//! is [`Server`]:
+//! is [`Server`]. It runs the same receive loop as a node
+//! (`crate::demux`: routes, TIME_WAIT, orphans) and adds the policy
+//! for frames no route claims:
 //!
 //! * **Admission** — a frame for an unknown session spawns a terminal
 //!   state machine iff it is a `Start` from the configured coordinator
-//!   and the registry has room below its high-water mark (7/8 of
+//!   and the daemon has room below its high-water mark (7/8 of
 //!   [`ServeLimits::max_sessions`] — shedding starts *before* the hard
 //!   cap so in-flight sessions keep headroom to finish). A refused
 //!   `Start` is answered with an explicit [`NetPayload::Busy`] whose
@@ -36,36 +38,35 @@
 //!   the state machine terminates with [`NetError::Closed`], and the
 //!   slot frees *before* the protocol deadline would have reclaimed it.
 //! * **Terminal-state GC** — completed or aborted sessions leave the
-//!   registry immediately (their outcome goes to the
-//!   [`Server::outcomes`] channel), so registry size tracks *live*
+//!   routing table immediately (their outcome goes to the
+//!   [`Server::outcomes`] channel), so the open count tracks *live*
 //!   sessions only.
 //! * **TIME_WAIT** — a terminal returns as soon as it has acked `Fin`;
-//!   its id then sits in the registry's [`TimeWait`] window until the
+//!   its id then sits in the receive loop's TIME_WAIT window until the
 //!   session deadline, and a `Fin` the coordinator retransmits because
-//!   that ack was lost is re-acked by the pump — no task, no slot.
+//!   that ack was lost is re-acked by the loop — no task, no slot.
 //!
-//! The pump is batched ([`SharedTransport::recv_batch`]): one wakeup
-//! drains the whole socket backlog and routes it under a single borrow.
+//! The loop wakes on a batch, the next eviction sweep, or a stop.
 //! Combined with the waker-based executor ([`crate::rt`]), an idle
-//! daemon with thousands of open sessions polls O(1) tasks per tick.
+//! daemon with thousands of open sessions polls O(1) tasks per wake.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::future::Future;
 use std::io;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
+use crate::demux::{Demux, Policy, Table};
 use crate::driver::task_seed;
 use crate::frame::{Frame, NetPayload};
-use crate::reliable::TimeWait;
 use crate::rt;
 use crate::rt::chan::{channel, Receiver, Sender};
 use crate::session::{NetError, SessionConfig, SessionOutcome};
 use crate::terminal::run_terminal;
-use crate::transport::{SharedTransport, Transport, DEFAULT_RECV_BATCH};
+use crate::transport::{SharedTransport, Transport};
 
 /// Resource limits of one serve daemon.
 #[derive(Clone, Copy, Debug)]
@@ -76,17 +77,11 @@ pub struct ServeLimits {
     pub max_sessions: usize,
     /// Evict a session after this long without a single frame.
     pub idle_timeout: Duration,
-    /// Most frames one pump pass drains (bounds per-pass latency).
-    pub recv_batch: usize,
 }
 
 impl Default for ServeLimits {
     fn default() -> Self {
-        ServeLimits {
-            max_sessions: 8192,
-            idle_timeout: Duration::from_secs(10),
-            recv_batch: DEFAULT_RECV_BATCH,
-        }
+        ServeLimits { max_sessions: 8192, idle_timeout: Duration::from_secs(10) }
     }
 }
 
@@ -95,7 +90,7 @@ impl Default for ServeLimits {
 pub struct ServeStats {
     /// Sessions admitted (a terminal task was spawned).
     pub admitted: u64,
-    /// `Start`s refused because the registry was at capacity.
+    /// `Start`s refused because the daemon was at capacity.
     pub rejected: u64,
     /// `Busy { retry_after_ms }` replies sent for refused `Start`s.
     /// Equals `rejected` when every refusal was answered (the daemon
@@ -112,7 +107,7 @@ pub struct ServeStats {
     pub failed: u64,
     /// Frames dropped because they belonged to no session and could not
     /// admit one (wrong kind, wrong sender, or already terminated).
-    /// TIME_WAIT re-acks are not orphans (`serve.time_wait.reacks`).
+    /// TIME_WAIT re-acks are not orphans (`demux.time_wait.reacks`).
     pub orphans: u64,
     /// High-water mark of concurrently open sessions.
     pub peak_open: u64,
@@ -136,14 +131,6 @@ impl ServeStats {
     }
 }
 
-struct Entry {
-    tx: Sender<Frame>,
-    last_frame: Instant,
-    /// Admission time — anchors the `serve.session_us` duration
-    /// histogram when the session terminates.
-    admitted_at: Instant,
-}
-
 /// A `Start` refused at the high-water mark, parked for FIFO
 /// re-admission when a slot frees.
 struct PendingStart {
@@ -157,7 +144,7 @@ struct PendingStart {
 
 /// Outcome of one admission attempt (see [`SessionRegistry::admit`]).
 enum Admission {
-    /// A slot was opened and the admitting `Start` already routed; the
+    /// A route was opened and the admitting `Start` delivered on it; the
     /// session's frames flow through this.
     Admitted(Receiver<Frame>),
     /// Load-shed: the `Start` was parked in the re-admission queue;
@@ -166,32 +153,21 @@ enum Admission {
         /// Suggested re-admission delay.
         retry_after_ms: u32,
     },
-    /// Replay of a terminated session id — dropped (a late duplicate,
+    /// Replay of a terminated session id — an orphan (a late duplicate,
     /// not a live coordinator to pace).
     Spent,
-    /// A late reliable frame of a session in TIME_WAIT: send this ack.
-    ReAck(Frame),
-    /// No session claims the frame and it admits none — dropped.
-    Orphan,
 }
 
-/// The daemon's session table: admission, routing, eviction, GC.
-///
-/// Exposed (behind `Rc<RefCell>`) so harnesses can inspect live load;
-/// the [`Server`] owns all mutation.
-pub struct SessionRegistry {
-    open: BTreeMap<u64, Entry>,
-    /// Recently terminated/evicted session ids: a replayed `Start` must
-    /// not re-admit a ghost session (it would hold a slot until
-    /// eviction and could emit a spurious abort for a session that
-    /// already agreed), and completed ids re-ack late frames from
-    /// their coordinator until their deadline.
-    spent: TimeWait,
+/// The daemon's admission and eviction policy over its receive loop's
+/// routes: the cap and high-water mark, the FIFO park queue, `Busy`
+/// pacing, and the lifetime counters.
+struct SessionRegistry {
     /// The node every admitted session's frames must come from.
     coordinator: u8,
     /// The session deadline: how long a completed id keeps re-acking.
     deadline: Duration,
     limits: ServeLimits,
+    /// Lifetime counters; `orphans` lives in the routing table.
     stats: ServeStats,
     /// Arrival order of parked `Start`s (session ids; a popped id no
     /// longer in `queued` is a tombstone of a session admitted
@@ -218,36 +194,12 @@ const QUEUE_STALE: Duration = Duration::from_secs(20);
 impl SessionRegistry {
     fn new(limits: ServeLimits, cfg: &SessionConfig) -> Self {
         SessionRegistry {
-            open: BTreeMap::new(),
-            spent: TimeWait::new(),
             coordinator: cfg.coordinator,
             deadline: cfg.deadline,
             limits,
             stats: ServeStats::default(),
             queue: VecDeque::new(),
             queued: BTreeMap::new(),
-        }
-    }
-
-    /// Currently open sessions.
-    pub fn open_sessions(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Lifetime counters so far.
-    pub fn stats(&self) -> ServeStats {
-        self.stats.clone()
-    }
-
-    /// Routes `frame` to its open session; `false` if none is open.
-    fn route(&mut self, frame: Frame, now: Instant) -> Result<(), Frame> {
-        match self.open.get_mut(&frame.session) {
-            Some(e) => {
-                e.last_frame = now;
-                e.tx.send(frame);
-                Ok(())
-            }
-            None => Err(frame),
         }
     }
 
@@ -273,15 +225,15 @@ impl SessionRegistry {
         (scaled + spread).clamp(BASE_MS, 2_000) as u32
     }
 
-    /// Opens a slot for `session` (caller has checked load and replay)
-    /// and returns the frame receiver for its terminal task.
-    fn open_slot(&mut self, session: u64, now: Instant) -> Receiver<Frame> {
-        let (tx, rx) = channel();
-        self.open.insert(session, Entry { tx, last_frame: now, admitted_at: now });
+    /// Opens the route of an admitted `start` (the caller has checked
+    /// load and replay) and returns the frame receiver for its terminal
+    /// task, the `Start` already delivered on it.
+    fn open_slot(&mut self, table: &mut Table, start: Frame, now: Instant) -> Receiver<Frame> {
+        let rx = table.open(start.session, now, Some(start));
         self.stats.admitted += 1;
-        self.stats.peak_open = self.stats.peak_open.max(self.open.len() as u64);
+        self.stats.peak_open = self.stats.peak_open.max(table.len() as u64);
         crate::telemetry::counter_add("serve.admitted", 1);
-        crate::telemetry::gauge_set("serve.open", self.open.len() as u64);
+        crate::telemetry::gauge_set("serve.open", table.len() as u64);
         rx
     }
 
@@ -298,60 +250,39 @@ impl SessionRegistry {
     }
 
     /// Admits the longest-parked queued `Start` if a slot is free:
-    /// opens its slot, routes the stored frame, and returns the
-    /// session id plus frame receiver for the caller to spawn. Stale
-    /// and spent entries are skipped. `None` when the registry is at
-    /// its high-water mark or the queue is drained.
-    fn pop_admission(&mut self, now: Instant) -> Option<(u64, Receiver<Frame>)> {
-        while self.open.len() < self.admit_high() {
+    /// opens its route with the stored frame, and returns the session id
+    /// plus frame receiver for the caller to spawn. Stale and spent
+    /// entries are skipped. `None` when the daemon is at its high-water
+    /// mark or the queue is drained.
+    fn pop_admission(&mut self, table: &mut Table, now: Instant) -> Option<(u64, Receiver<Frame>)> {
+        while table.len() < self.admit_high() {
             let session = self.queue.pop_front()?;
             let Some(pending) = self.queued.remove(&session) else { continue };
             crate::telemetry::gauge_set("serve.queue.depth", self.queued.len() as u64);
-            if self.spent.contains(session) || now.duration_since(pending.refreshed) > QUEUE_STALE {
+            if table.time_wait.contains(session)
+                || now.duration_since(pending.refreshed) > QUEUE_STALE
+            {
                 continue;
             }
-            let rx = self.open_slot(session, now);
-            if self.route(pending.frame, now).is_err() {
-                // Unreachable (the slot was opened on the line above),
-                // but dropping the Start is safe: the peer retransmits.
-                crate::telemetry::counter_add("serve.route.lost", 1);
-            }
+            let rx = self.open_slot(table, pending.frame, now);
             crate::telemetry::counter_add("serve.queue.admitted", 1);
             return Some((session, rx));
         }
         None
     }
 
-    /// Handles a frame no open session claims. A `Start` from the
-    /// coordinator goes to admission; a late reliable frame of a
-    /// session in TIME_WAIT gets its ack (answered by node `me`);
-    /// anything else is an orphan: stale, spoofed, or for a session
-    /// that aborted or was evicted here.
-    fn unrouted(&mut self, me: u8, frame: Frame, now: Instant) -> Admission {
-        if frame.sender == self.coordinator && matches!(frame.payload, NetPayload::Start { .. }) {
-            return self.admit(frame, now);
-        }
-        if let Some(ack) = self.spent.reack(me, &frame, now) {
-            crate::telemetry::counter_add("serve.time_wait.reacks", 1);
-            return Admission::ReAck(ack);
-        }
-        self.stats.orphans += 1;
-        crate::telemetry::counter_add("serve.orphans", 1);
-        Admission::Orphan
-    }
-
-    /// Opens a slot for the session of this `Start` if load allows and
-    /// the id is not a replay of a terminated session; over the
-    /// high-water mark the frame is parked for FIFO re-admission and
-    /// the refusal answered with a pacing hint.
-    fn admit(&mut self, frame: Frame, now: Instant) -> Admission {
+    /// Opens a route for the session of this `Start` if load allows and
+    /// the id is not a replay of a terminated session (a ghost session
+    /// would hold a slot until eviction and could emit a spurious abort
+    /// for a session that already agreed); over the high-water mark the
+    /// frame is parked for FIFO re-admission and the refusal answered
+    /// with a pacing hint.
+    fn admit(&mut self, table: &mut Table, frame: Frame, now: Instant) -> Admission {
         let session = frame.session;
-        if self.spent.contains(session) {
-            self.stats.orphans += 1;
-            crate::telemetry::counter_add("serve.orphans", 1);
+        if table.time_wait.contains(session) {
             return Admission::Spent;
         }
-        if self.open.len() >= self.admit_high() {
+        if table.len() >= self.admit_high() {
             self.enqueue(frame, now);
             let retry_after_ms = self.retry_after_ms(session);
             self.stats.rejected += 1;
@@ -363,141 +294,98 @@ impl SessionRegistry {
         }
         // Tombstone any parked copy: the live admission supersedes it.
         self.queued.remove(&session);
-        let rx = self.open_slot(session, now);
-        if self.route(frame, now).is_err() {
-            // Unreachable (the slot was opened on the line above), but
-            // dropping the Start is safe: the peer retransmits.
-            crate::telemetry::counter_add("serve.route.lost", 1);
-        }
-        Admission::Admitted(rx)
+        Admission::Admitted(self.open_slot(table, frame, now))
     }
 
-    /// Removes a terminated session's slot (terminal-state GC) and
-    /// remembers the id so Start replays cannot resurrect it; a
-    /// completed session enters TIME_WAIT until its deadline.
-    fn finish(&mut self, session: u64, outcome: &Result<SessionOutcome, NetError>) {
-        // A session whose slot is already gone was evicted (counted as
+    /// Closes a terminated session's route (terminal-state GC); its id
+    /// retires into TIME_WAIT, re-acking until the session deadline if
+    /// it completed, so Start replays cannot resurrect it.
+    fn finish(
+        &mut self,
+        table: &mut Table,
+        session: u64,
+        outcome: &Result<SessionOutcome, NetError>,
+        now: Instant,
+    ) {
+        let completed = matches!(outcome, Ok(out) if out.completed());
+        // A session whose route is already gone was evicted (counted as
         // `evicted`) or swept on socket death — its late outcome,
         // whatever its shape (an eviction usually terminates with
         // `Closed`, but a protocol deadline can race the idle sweep and
         // deliver an `Ok` abort), must not be counted a second time:
         // the stat buckets partition `admitted`.
-        let Some(entry) = self.open.remove(&session) else {
-            self.spent.mark_spent(session);
-            return;
-        };
-        crate::telemetry::observe(
-            "serve.session_us",
-            entry.admitted_at.elapsed().as_micros() as u64,
-        );
-        crate::telemetry::gauge_set("serve.open", self.open.len() as u64);
+        let reack = completed.then_some((self.coordinator, self.deadline));
+        let Some(route) = table.retire(session, reack) else { return };
+        let held = now.saturating_duration_since(route.opened);
+        crate::telemetry::observe("serve.session_us", held.as_micros() as u64);
+        crate::telemetry::gauge_set("serve.open", table.len() as u64);
         match outcome {
-            Ok(out) if out.completed() => {
-                self.stats.completed += 1;
-                let until = entry.admitted_at + self.deadline;
-                self.spent.complete(session, self.coordinator, until);
-            }
-            Ok(_) => {
-                self.stats.aborted += 1;
-                self.spent.mark_spent(session);
-            }
-            Err(_) => {
-                self.stats.failed += 1;
-                self.spent.mark_spent(session);
-            }
+            Ok(_) if completed => self.stats.completed += 1,
+            Ok(_) => self.stats.aborted += 1,
+            Err(_) => self.stats.failed += 1,
         }
     }
 
-    /// Drops every session idle longer than the limit; their channels
-    /// close and the state machines terminate with [`NetError::Closed`].
-    /// An evicted id is spent too: its peer is presumed dead (a live
-    /// coordinator would have kept the entry fresh with retransmits).
-    fn evict_idle(&mut self, now: Instant) {
-        let timeout = self.limits.idle_timeout;
-        let mut evicted = Vec::new();
-        self.open.retain(|&session, e| {
-            let keep = now.duration_since(e.last_frame) < timeout;
-            if !keep {
-                evicted.push(session);
-            }
-            keep
-        });
-        self.stats.evicted += evicted.len() as u64;
-        if !evicted.is_empty() {
-            crate::telemetry::counter_add("serve.evicted", evicted.len() as u64);
-            crate::telemetry::gauge_set("serve.open", self.open.len() as u64);
+    /// Closes every session idle longer than the limit; the state
+    /// machines terminate with [`NetError::Closed`]. An evicted id is
+    /// spent too: its peer is presumed dead (a live coordinator would
+    /// have kept the route fresh with retransmits).
+    fn evict_idle(&mut self, table: &mut Table, now: Instant) {
+        let evicted = table.evict_idle(now, self.limits.idle_timeout) as u64;
+        self.stats.evicted += evicted;
+        if evicted > 0 {
+            crate::telemetry::counter_add("serve.evicted", evicted);
+            crate::telemetry::gauge_set("serve.open", table.len() as u64);
         }
-        for session in evicted {
-            self.spent.mark_spent(session);
-        }
-    }
-}
-
-/// A stop request shared by a [`Server`] and its handles: the flag plus
-/// the pump's waker, so asking to stop ends the pump's wait at once.
-#[derive(Default)]
-struct Stop {
-    requested: Cell<bool>,
-    pump: RefCell<Option<Waker>>,
-}
-
-impl Stop {
-    fn request(&self) {
-        self.requested.set(true);
-        if let Some(w) = self.pump.borrow_mut().take() {
-            w.wake();
-        }
-    }
-
-    /// Ready once a stop was requested; otherwise parks `cx`'s waker.
-    fn poll(&self, cx: &Context<'_>) -> Poll<()> {
-        if self.requested.get() {
-            return Poll::Ready(());
-        }
-        *self.pump.borrow_mut() = Some(cx.waker().clone());
-        Poll::Pending
     }
 }
 
 /// Shared control handle of a running [`Server`]: stop it, watch it.
+#[derive(Clone)]
 pub struct ServeHandle {
-    stop: Rc<Stop>,
+    stop: Sender<()>,
     registry: Rc<RefCell<SessionRegistry>>,
-}
-
-impl Clone for ServeHandle {
-    fn clone(&self) -> Self {
-        ServeHandle { stop: self.stop.clone(), registry: self.registry.clone() }
-    }
+    demux: Demux,
 }
 
 impl ServeHandle {
     /// Asks the serve loop to exit; it wakes and returns at once.
     pub fn stop(&self) {
-        self.stop.request();
+        self.stop.send(());
     }
 
-    /// Currently open sessions.
+    /// Currently open (admitted, live) sessions.
     pub fn open_sessions(&self) -> usize {
-        self.registry.borrow().open_sessions()
+        self.demux.table().len()
     }
 
     /// Lifetime counters so far.
     pub fn stats(&self) -> ServeStats {
-        self.registry.borrow().stats()
+        let orphans = self.demux.table().orphans;
+        ServeStats { orphans, ..self.registry.borrow().stats.clone() }
     }
 }
 
 /// A serve daemon: auto-admits terminal sessions over one transport.
 pub struct Server<T> {
     t: SharedTransport<T>,
+    demux: Demux,
     cfg: SessionConfig,
     seed: u64,
     registry: Rc<RefCell<SessionRegistry>>,
-    stop: Rc<Stop>,
+    /// Stop requests from the handles; the server keeps a sender so the
+    /// channel stays open while no handle exists.
+    stop: Sender<()>,
+    stopped: Receiver<()>,
     /// The outcome stream's only sender, shared with the session tasks
     /// and dropped when the server stops, which closes the stream.
     outcomes: Outcomes,
+    /// Eviction sweeps ride the loop's wait so an idle daemon wakes a
+    /// few times a second — and a *busy* loop (woken per batch) still
+    /// sweeps only once per interval: the sweep is an O(open-sessions)
+    /// scan, which must not run per received batch.
+    sweep: Duration,
+    last_sweep: Instant,
 }
 
 type Outcomes = Rc<RefCell<Option<Sender<SessionOutcome>>>>;
@@ -518,19 +406,29 @@ impl<T: Transport + 'static> Server<T> {
             "serve daemons are terminals; run the coordinator role to initiate rounds"
         );
         let registry = SessionRegistry::new(limits, &cfg);
+        let (stop, stopped) = channel();
         Server {
             t,
+            demux: Demux::default(),
             cfg,
             seed,
             registry: Rc::new(RefCell::new(registry)),
-            stop: Rc::default(),
+            stop,
+            stopped,
             outcomes: Rc::default(),
+            sweep: (limits.idle_timeout / 4)
+                .clamp(Duration::from_millis(50), Duration::from_secs(1)),
+            last_sweep: rt::now(),
         }
     }
 
     /// A control handle (clone freely).
     pub fn handle(&self) -> ServeHandle {
-        ServeHandle { stop: self.stop.clone(), registry: self.registry.clone() }
+        ServeHandle {
+            stop: self.stop.clone(),
+            registry: self.registry.clone(),
+            demux: self.demux.clone(),
+        }
     }
 
     /// Creates the outcome stream: every terminated session's
@@ -546,123 +444,87 @@ impl<T: Transport + 'static> Server<T> {
     /// Runs the daemon until [`ServeHandle::stop`] or a socket error.
     /// Returns the lifetime stats. Either way the outcome stream closes:
     /// sessions still in flight run on, but report nowhere.
-    pub async fn run(self) -> io::Result<ServeStats> {
-        let outcomes = self.outcomes.clone();
-        let result = self.pump().await;
-        outcomes.borrow_mut().take();
-        result
+    pub async fn run(mut self) -> io::Result<ServeStats> {
+        self.last_sweep = rt::now();
+        let (t, demux) = (self.t.clone(), self.demux.clone());
+        let result = demux.run(&t, &mut self).await;
+        self.outcomes.borrow_mut().take();
+        result.map(|()| self.handle().stats())
     }
 
-    async fn pump(self) -> io::Result<ServeStats> {
-        let Server { t, cfg, seed, registry, stop, outcomes } = self;
-        let me = t.local_node();
-        let limits = registry.borrow().limits;
-        // Eviction sweeps ride the pump's wait so an idle daemon wakes
-        // a few times a second — and a *busy* pump (woken per batch)
-        // still sweeps only once per interval: the sweep is an
-        // O(open-sessions) scan, which must not run per received batch.
-        let sweep =
-            (limits.idle_timeout / 4).clamp(Duration::from_millis(50), Duration::from_secs(1));
-        let mut last_sweep = Instant::now();
-        loop {
-            // Wait for a batch, the next sweep, or a stop request.
-            let mut next = rt::timeout_at(last_sweep + sweep, t.recv_batch(limits.recv_batch));
-            let woke = std::future::poll_fn(|cx| match stop.poll(cx) {
-                Poll::Ready(()) => Poll::Ready(None),
-                Poll::Pending => Pin::new(&mut next).poll(cx).map(Some),
-            })
-            .await;
-            let batch = match woke {
-                None => return Ok(registry.borrow().stats()),
-                Some(Err(rt::Elapsed)) => Vec::new(),
-                Some(Ok(Err(e))) => {
-                    // Socket death: close every session promptly (they
-                    // terminate with NetError::Closed) and report.
-                    registry.borrow_mut().open.clear();
-                    return Err(e);
-                }
-                Some(Ok(Ok(batch))) => batch,
-            };
-            let now = Instant::now();
-            for frame in batch {
-                let mut reg = registry.borrow_mut();
-                let frame = match reg.route(frame, now) {
-                    Ok(()) => continue,
-                    Err(frame) => frame,
-                };
-                let session = frame.session;
-                let rx = match reg.unrouted(me, frame, now) {
-                    Admission::Admitted(rx) => rx,
-                    Admission::Busy { retry_after_ms } => {
-                        // Explicit backpressure instead of a silent
-                        // drop: tell the coordinator when to re-knock.
-                        // Best-effort — a lost reply just means one
-                        // more (paced by its own backoff) Start copy;
-                        // the parked frame re-admits meanwhile.
-                        let busy = Frame {
-                            flags: 0,
-                            sender: me,
-                            session,
-                            seq: 0,
-                            payload: NetPayload::Busy { retry_after_ms },
-                        };
-                        let _ = t.send_to(cfg.coordinator, &busy);
-                        continue;
-                    }
-                    Admission::ReAck(ack) => {
-                        // Best-effort like `Busy`: a lost re-ack costs
-                        // one more retransmission.
-                        let _ = t.send_to(cfg.coordinator, &ack);
-                        continue;
-                    }
-                    Admission::Spent | Admission::Orphan => continue,
-                };
-                drop(reg);
-                spawn_session(&t, &cfg, &registry, &outcomes, seed, session, rx);
+    /// Spawns the terminal task of a freshly admitted session (used by
+    /// both direct admission and queue drain).
+    fn spawn_session(&self, session: u64, rx: Receiver<Frame>) {
+        let (t, cfg, demux) = (self.t.clone(), self.cfg.clone(), self.demux.clone());
+        let (registry, outcomes) = (self.registry.clone(), self.outcomes.clone());
+        let seed = task_seed(self.seed, session, t.local_node());
+        rt::spawn(async move {
+            let result = run_terminal(t, rx, session, cfg, seed).await;
+            registry.borrow_mut().finish(&mut demux.table(), session, &result, rt::now());
+            if let (Some(tx), Ok(out)) = (outcomes.borrow().as_ref(), result) {
+                tx.send(out);
             }
-            // Slots freed by terminal-state GC since the last pass are
-            // refilled from the parked-Start queue in arrival order —
-            // re-admission does not wait for the coordinator's paced
-            // retry, and FIFO order keeps sibling daemons' admitted
-            // sets aligned (see the module docs on the cross-daemon
-            // half-admission deadlock).
-            loop {
-                let popped = registry.borrow_mut().pop_admission(Instant::now());
-                let Some((session, rx)) = popped else { break };
-                spawn_session(&t, &cfg, &registry, &outcomes, seed, session, rx);
-            }
-            let now = Instant::now();
-            if now.duration_since(last_sweep) >= sweep {
-                last_sweep = now;
-                registry.borrow_mut().evict_idle(now);
-            }
-        }
+        });
     }
 }
 
-/// Spawns the terminal task of a freshly admitted session (used by
-/// both direct admission and queue drain).
-fn spawn_session<T: Transport + 'static>(
-    t: &SharedTransport<T>,
-    cfg: &SessionConfig,
-    registry: &Rc<RefCell<SessionRegistry>>,
-    outcomes: &Outcomes,
-    seed: u64,
-    session: u64,
-    rx: Receiver<Frame>,
-) {
-    let me = t.local_node();
-    let t = t.clone();
-    let cfg = cfg.clone();
-    let registry = registry.clone();
-    let outcomes = outcomes.clone();
-    rt::spawn(async move {
-        let result = run_terminal(t, rx, session, cfg, task_seed(seed, session, me)).await;
-        registry.borrow_mut().finish(session, &result);
-        if let (Some(tx), Ok(out)) = (outcomes.borrow().as_ref(), result) {
-            tx.send(out);
+impl<T: Transport + 'static> Policy for Server<T> {
+    /// A `Start` from the coordinator goes to admission; anything else
+    /// is an orphan.
+    fn unrouted(&mut self, table: &mut Table, frame: Frame, now: Instant) -> bool {
+        if frame.sender != self.cfg.coordinator
+            || !matches!(frame.payload, NetPayload::Start { .. })
+        {
+            return false;
         }
-    });
+        let session = frame.session;
+        let admission = self.registry.borrow_mut().admit(table, frame, now);
+        match admission {
+            Admission::Admitted(rx) => self.spawn_session(session, rx),
+            Admission::Busy { retry_after_ms } => {
+                // Explicit backpressure instead of a silent drop: tell the
+                // coordinator when to re-knock. Best-effort — a lost reply
+                // just means one more (paced by its own backoff) Start
+                // copy; the parked frame re-admits meanwhile.
+                let busy = Frame {
+                    flags: 0,
+                    sender: self.t.local_node(),
+                    session,
+                    seq: 0,
+                    payload: NetPayload::Busy { retry_after_ms },
+                };
+                let _ = self.t.send_to(self.cfg.coordinator, &busy);
+            }
+            Admission::Spent => return false,
+        }
+        true
+    }
+
+    /// Slots freed by terminal-state GC since the last pass are refilled
+    /// from the parked-Start queue in arrival order — re-admission does
+    /// not wait for the coordinator's paced retry, and FIFO order keeps
+    /// sibling daemons' admitted sets aligned (see the module docs on
+    /// the cross-daemon half-admission deadlock). Then, once per sweep
+    /// interval, idle sessions are evicted.
+    fn after_pass(&mut self, table: &mut Table, now: Instant) {
+        loop {
+            let popped = self.registry.borrow_mut().pop_admission(table, now);
+            let Some((session, rx)) = popped else { break };
+            self.spawn_session(session, rx);
+        }
+        if now.duration_since(self.last_sweep) >= self.sweep {
+            self.last_sweep = now;
+            self.registry.borrow_mut().evict_idle(table, now);
+        }
+    }
+
+    fn next_wake(&self) -> Option<Instant> {
+        Some(self.last_sweep + self.sweep)
+    }
+
+    fn poll_stop(&mut self, cx: &mut Context<'_>) -> Poll<()> {
+        Pin::new(&mut self.stopped.recv()).poll(cx).map(drop)
+    }
 }
 
 #[cfg(test)]
@@ -688,8 +550,8 @@ mod tests {
         Frame { flags: 0, sender: 0, session, seq: 0, payload: NetPayload::Start { digest: 7 } }
     }
 
-    fn registry(limits: ServeLimits) -> SessionRegistry {
-        SessionRegistry::new(limits, &small_cfg(2))
+    fn registry(limits: ServeLimits) -> (SessionRegistry, Table) {
+        (SessionRegistry::new(limits, &small_cfg(2)), Table::default())
     }
 
     fn completed(session: u64) -> SessionOutcome {
@@ -705,55 +567,57 @@ mod tests {
         }
     }
 
-    fn must_admit(reg: &mut SessionRegistry, session: u64, now: Instant) -> Receiver<Frame> {
-        match reg.admit(start(session), now) {
+    fn must_admit(
+        reg: &mut SessionRegistry,
+        table: &mut Table,
+        session: u64,
+        now: Instant,
+    ) -> Receiver<Frame> {
+        match reg.admit(table, start(session), now) {
             Admission::Admitted(rx) => rx,
             Admission::Busy { .. } => panic!("session {session} refused: busy"),
-            _ => panic!("session {session} refused: spent"),
+            Admission::Spent => panic!("session {session} refused: spent"),
         }
     }
 
     #[test]
     fn registry_admits_routes_and_caps() {
         let limits = ServeLimits { max_sessions: 2, ..ServeLimits::default() };
-        let mut reg = registry(limits);
+        let (mut reg, mut table) = registry(limits);
         let now = Instant::now();
-        let _rx1 = must_admit(&mut reg, 1, now);
-        let _rx2 = must_admit(&mut reg, 2, now);
-        let Admission::Busy { retry_after_ms } = reg.admit(start(3), now) else {
+        let _rx1 = must_admit(&mut reg, &mut table, 1, now);
+        let _rx2 = must_admit(&mut reg, &mut table, 2, now);
+        let Admission::Busy { retry_after_ms } = reg.admit(&mut table, start(3), now) else {
             panic!("over capacity must be Busy");
         };
         assert!(retry_after_ms > 0, "busy carries a positive pace");
-        assert_eq!(reg.stats().rejected, 1);
-        assert_eq!(reg.stats().busy, 1, "every rejection is answered");
-        assert_eq!(reg.stats().peak_open, 2);
+        assert_eq!(reg.stats.rejected, 1);
+        assert_eq!(reg.stats.busy, 1, "every rejection is answered");
+        assert_eq!(reg.stats.peak_open, 2);
         let frame = Frame { flags: 0, sender: 0, session: 1, seq: 9, payload: NetPayload::Fin };
-        assert!(reg.route(frame.clone(), now).is_ok());
+        assert!(table.route(frame.clone(), now).is_ok());
         let stray = Frame { session: 99, ..frame };
-        assert!(reg.route(stray, now).is_err());
+        assert!(table.route(stray, now).is_err());
     }
 
     #[test]
     fn eviction_sweep_order_is_session_id_order() {
-        // Regression: the registry's session table used to be a
-        // HashMap, so a sweep that evicted several idle sessions at
-        // once marked them spent in RandomState iteration order —
-        // different per process, and visible downstream (spent-window
-        // rotation, `serve.evicted` interleaving in traces). The table
-        // is a BTreeMap now; a batch eviction must walk ascending
-        // session ids no matter what order admission happened in.
-        let limits = ServeLimits {
-            max_sessions: 16,
-            idle_timeout: Duration::from_millis(10),
-            ..ServeLimits::default()
-        };
-        let mut reg = registry(limits);
+        // Regression: the session table used to be a HashMap, so a sweep
+        // that evicted several idle sessions at once marked them spent in
+        // RandomState iteration order — different per process, and
+        // visible downstream (spent-window rotation, `serve.evicted`
+        // interleaving in traces). The table is a BTreeMap now; a batch
+        // eviction must walk ascending session ids no matter what order
+        // admission happened in.
+        let limits = ServeLimits { max_sessions: 16, idle_timeout: Duration::from_millis(10) };
+        let (mut reg, mut table) = registry(limits);
         let t0 = Instant::now();
         let scrambled = [11u64, 3, 42, 7, 29, 5];
-        let _rxs: Vec<_> = scrambled.iter().map(|&s| must_admit(&mut reg, s, t0)).collect();
-        reg.evict_idle(t0 + Duration::from_millis(50));
-        assert_eq!(reg.stats().evicted, scrambled.len() as u64);
-        let spent: Vec<u64> = reg.spent.spent().collect();
+        let _rxs: Vec<_> =
+            scrambled.iter().map(|&s| must_admit(&mut reg, &mut table, s, t0)).collect();
+        reg.evict_idle(&mut table, t0 + Duration::from_millis(50));
+        assert_eq!(reg.stats.evicted, scrambled.len() as u64);
+        let spent: Vec<u64> = table.time_wait.spent().collect();
         let mut sorted = scrambled.to_vec();
         sorted.sort_unstable();
         assert_eq!(spent, sorted, "batch eviction must mark spent in ascending id order");
@@ -761,21 +625,17 @@ mod tests {
 
     #[test]
     fn registry_evicts_idle_sessions_and_closes_their_channels() {
-        let limits = ServeLimits {
-            max_sessions: 8,
-            idle_timeout: Duration::from_millis(10),
-            ..ServeLimits::default()
-        };
-        let mut reg = registry(limits);
+        let limits = ServeLimits { max_sessions: 8, idle_timeout: Duration::from_millis(10) };
+        let (mut reg, mut table) = registry(limits);
         let t0 = Instant::now();
-        let mut rx = must_admit(&mut reg, 7, t0);
-        reg.evict_idle(t0 + Duration::from_millis(5));
-        assert_eq!(reg.open_sessions(), 1, "young session survives");
-        reg.evict_idle(t0 + Duration::from_millis(50));
-        assert_eq!(reg.open_sessions(), 0, "idle session evicted");
-        assert_eq!(reg.stats().evicted, 1);
-        // The channel closed with the entry: after the admitting Start
-        // (routed at admission), the session task sees None and
+        let mut rx = must_admit(&mut reg, &mut table, 7, t0);
+        reg.evict_idle(&mut table, t0 + Duration::from_millis(5));
+        assert_eq!(table.len(), 1, "young session survives");
+        reg.evict_idle(&mut table, t0 + Duration::from_millis(50));
+        assert_eq!(table.len(), 0, "idle session evicted");
+        assert_eq!(reg.stats.evicted, 1);
+        // The channel closed with the route: after the admitting Start
+        // (delivered at admission), the session task sees None and
         // terminates with NetError::Closed.
         rt::block_on(async {
             assert!(matches!(
@@ -785,18 +645,17 @@ mod tests {
             assert_eq!(rx.recv().await, None);
         });
         // Its termination is not double-counted as a failure.
-        reg.finish(7, &Err(NetError::Closed));
-        assert_eq!(reg.stats().failed, 0);
+        reg.finish(&mut table, 7, &Err(NetError::Closed), t0);
+        assert_eq!(reg.stats.failed, 0);
         // And a replayed Start for the evicted id cannot resurrect it.
         assert!(
-            matches!(reg.admit(start(7), t0), Admission::Spent),
+            matches!(reg.admit(&mut table, start(7), t0), Admission::Spent),
             "spent ids are not re-admissible"
         );
-        assert_eq!(reg.stats().orphans, 1);
         // A protocol-deadline abort racing the idle sweep is not
         // double-counted: once evicted, the late outcome is dropped.
-        let _rx2 = must_admit(&mut reg, 8, t0);
-        reg.evict_idle(t0 + Duration::from_millis(50));
+        let _rx2 = must_admit(&mut reg, &mut table, 8, t0);
+        reg.evict_idle(&mut table, t0 + Duration::from_millis(50));
         let late = crate::session::SessionOutcome::aborted(
             8,
             1,
@@ -804,40 +663,45 @@ mod tests {
             crate::session::AbortReason::Deadline { phase: "x settle" },
             None,
         );
-        reg.finish(8, &Ok(late));
-        assert_eq!(reg.stats().aborted, 0, "evicted sessions count once, as evicted");
-        assert_eq!(reg.stats().evicted, 2);
+        reg.finish(&mut table, 8, &Ok(late), t0);
+        assert_eq!(reg.stats.aborted, 0, "evicted sessions count once, as evicted");
+        assert_eq!(reg.stats.evicted, 2);
     }
 
     /// A duplicated/delayed `Start` arriving after its session finished
     /// must not re-admit a ghost session under the same id.
     #[test]
     fn registry_refuses_start_replays_of_finished_sessions() {
-        let mut reg = registry(ServeLimits::default());
+        let (mut reg, mut table) = registry(ServeLimits::default());
         let now = Instant::now();
-        let _rx = must_admit(&mut reg, 42, now);
-        reg.finish(42, &Ok(completed(42)));
-        assert_eq!(reg.open_sessions(), 0);
-        assert!(matches!(reg.admit(start(42), now), Admission::Spent), "finished ids are spent");
-        assert_eq!(reg.stats().admitted, 1, "the replay admitted nothing");
+        let _rx = must_admit(&mut reg, &mut table, 42, now);
+        reg.finish(&mut table, 42, &Ok(completed(42)), now);
+        assert_eq!(table.len(), 0);
+        assert!(
+            matches!(reg.admit(&mut table, start(42), now), Admission::Spent),
+            "finished ids are spent"
+        );
+        assert_eq!(reg.stats.admitted, 1, "the replay admitted nothing");
         // Fresh ids are unaffected, and the window is bounded.
-        let _rx43 = must_admit(&mut reg, 43, now);
+        let _rx43 = must_admit(&mut reg, &mut table, 43, now);
         for s in 100..100 + (SPENT_WINDOW as u64) + 10 {
-            reg.spent.mark_spent(s);
+            table.time_wait.mark_spent(s);
         }
-        assert!(reg.spent.spent().count() <= SPENT_WINDOW);
+        assert!(table.time_wait.spent().count() <= SPENT_WINDOW);
     }
 
-    /// TIME_WAIT: a late reliable frame from the coordinator of a
-    /// completed session is re-acked (not an orphan); the same frame
-    /// for an aborted or evicted session is an orphan; a `Start` replay
-    /// of a completed id is still spent; and the re-ack window closes
-    /// at the session deadline.
+    /// TIME_WAIT, through a daemon's receive loop: a late reliable frame
+    /// from the coordinator of a completed session is re-acked (not an
+    /// orphan); the same frame for an aborted or evicted session is an
+    /// orphan; a `Start` replay of a completed id is spent, hence an
+    /// orphan; and the re-ack window closes at the session deadline.
     #[test]
     fn registry_reacks_late_fins_of_completed_sessions_only() {
         let limits = ServeLimits { idle_timeout: Duration::from_millis(10), ..Default::default() };
-        let mut reg = registry(limits);
-        let t0 = Instant::now();
+        let net = SimNet::new(IidMedium::symmetric(2, 0.0, 1), 2);
+        let mut server =
+            Server::new(SharedTransport::new(net.transport(1)), small_cfg(2), 11, limits);
+        let (t, demux, handle) = (server.t.clone(), server.demux.clone(), server.handle());
         let fin = |session: u64| Frame {
             flags: crate::frame::FLAG_RELIABLE,
             sender: 0,
@@ -845,33 +709,42 @@ mod tests {
             seq: 9,
             payload: NetPayload::Fin,
         };
-        let _rx = must_admit(&mut reg, 1, t0);
-        reg.finish(1, &Ok(completed(1)));
-        match reg.unrouted(1, fin(1), t0) {
-            Admission::ReAck(ack) => {
-                assert_eq!((ack.sender, ack.session), (1, 1));
-                assert!(matches!(ack.payload, NetPayload::Ack { seq: 9 }));
+        let reacks =
+            || crate::telemetry::snapshot().counters.get("demux.time_wait.reacks").copied();
+        // Admission spawns terminal tasks; this task never yields, so
+        // they never run and the test finishes their sessions by hand.
+        rt::block_on(async {
+            let t0 = rt::now();
+            demux.dispatch(&t, &mut server, vec![start(1), start(2), start(3)], t0);
+            assert_eq!(handle.stats().admitted, 3);
+            let abort = crate::session::AbortReason::Deadline { phase: "x settle" };
+            {
+                let (mut reg, mut table) = (server.registry.borrow_mut(), demux.table());
+                reg.finish(&mut table, 1, &Ok(completed(1)), t0);
+                reg.finish(&mut table, 2, &Ok(SessionOutcome::aborted(2, 1, 4, abort, None)), t0);
+                reg.evict_idle(&mut table, t0 + Duration::from_millis(50));
             }
-            _ => panic!("a late Fin of a completed session is re-acked"),
-        }
-        // Only the session's coordinator is answered.
-        let spoofed = Frame { sender: 2, ..fin(1) };
-        assert!(matches!(reg.unrouted(1, spoofed, t0), Admission::Orphan));
-        assert_eq!(reg.stats().orphans, 1, "the re-ack is not an orphan");
-        // A Start replay of the completed id stays spent.
-        assert!(matches!(reg.unrouted(1, start(1), t0), Admission::Spent));
-        // Aborted and evicted ids are spent but never re-acked.
-        let _rx2 = must_admit(&mut reg, 2, t0);
-        let abort = crate::session::AbortReason::Deadline { phase: "x settle" };
-        reg.finish(2, &Ok(SessionOutcome::aborted(2, 1, 4, abort, None)));
-        assert!(matches!(reg.unrouted(1, fin(2), t0), Admission::Orphan));
-        let _rx3 = must_admit(&mut reg, 3, t0);
-        reg.evict_idle(t0 + Duration::from_millis(50));
-        assert!(matches!(reg.unrouted(1, fin(3), t0), Admission::Orphan));
-        assert_eq!(reg.stats().orphans, 4);
-        // The window closes at the session deadline.
-        let late = t0 + small_cfg(2).deadline + Duration::from_millis(1);
-        assert!(matches!(reg.unrouted(1, fin(1), late), Admission::Orphan));
+            let sent = net.frames_transmitted();
+            demux.dispatch(&t, &mut server, vec![fin(1)], t0);
+            assert_eq!(reacks(), Some(1), "a late Fin of a completed session is re-acked");
+            assert_eq!(net.frames_transmitted(), sent + 1, "the ack went out");
+            assert_eq!(handle.stats().orphans, 0, "the re-ack is not an orphan");
+            // Only the session's coordinator is answered.
+            demux.dispatch(&t, &mut server, vec![Frame { sender: 2, ..fin(1) }], t0);
+            assert_eq!(handle.stats().orphans, 1);
+            // A Start replay of the completed id stays spent.
+            demux.dispatch(&t, &mut server, vec![start(1)], t0);
+            assert_eq!(handle.stats().orphans, 2);
+            assert_eq!(handle.stats().admitted, 3, "the replay admitted nothing");
+            // Aborted and evicted ids are spent but never re-acked.
+            demux.dispatch(&t, &mut server, vec![fin(2), fin(3)], t0);
+            assert_eq!(handle.stats().orphans, 4);
+            // The window closes at the session deadline.
+            let late = t0 + small_cfg(2).deadline + Duration::from_millis(1);
+            demux.dispatch(&t, &mut server, vec![fin(1)], late);
+            assert_eq!(handle.stats().orphans, 5);
+            assert_eq!(reacks(), Some(1));
+        });
     }
 
     /// Shedding starts at the high-water mark (7/8 of the cap), not at
@@ -879,27 +752,29 @@ mod tests {
     #[test]
     fn registry_sheds_early_with_load_scaled_pace() {
         let limits = ServeLimits { max_sessions: 64, ..ServeLimits::default() };
-        let mut reg = registry(limits);
+        let (mut reg, mut table) = registry(limits);
         let now = Instant::now();
         let high = 64 - 64 / 8;
         let mut rxs = Vec::new();
         for s in 0..high as u64 {
-            rxs.push(must_admit(&mut reg, s, now));
+            rxs.push(must_admit(&mut reg, &mut table, s, now));
         }
-        assert_eq!(reg.open_sessions(), high, "full up to the high-water mark");
-        let Admission::Busy { retry_after_ms: at_high } = reg.admit(start(1_000), now) else {
+        assert_eq!(table.len(), high, "full up to the high-water mark");
+        let Admission::Busy { retry_after_ms: at_high } = reg.admit(&mut table, start(1_000), now)
+        else {
             panic!("the high-water mark sheds");
         };
         // As more coordinators pile up paced-out, the suggested pace
         // grows (same session id, so the spread term is fixed).
         for s in 1_001..1_400 {
-            assert!(matches!(reg.admit(start(s), now), Admission::Busy { .. }));
+            assert!(matches!(reg.admit(&mut table, start(s), now), Admission::Busy { .. }));
         }
-        let Admission::Busy { retry_after_ms: deep } = reg.admit(start(1_000), now) else {
+        let Admission::Busy { retry_after_ms: deep } = reg.admit(&mut table, start(1_000), now)
+        else {
             panic!("still shedding");
         };
         assert!(deep > at_high, "pace scales with backlog: {deep} vs {at_high}");
-        assert_eq!(reg.stats().busy, reg.stats().rejected);
+        assert_eq!(reg.stats.busy, reg.stats.rejected);
     }
 
     /// A `Start` refused at the high-water mark is parked and admitted
@@ -908,29 +783,30 @@ mod tests {
     #[test]
     fn registry_readmits_parked_starts_in_arrival_order() {
         let limits = ServeLimits { max_sessions: 8, ..ServeLimits::default() };
-        let mut reg = registry(limits);
+        let (mut reg, mut table) = registry(limits);
         let now = Instant::now();
         let high = 8 - 8 / 8;
         for s in 0..high as u64 {
-            let _rx = must_admit(&mut reg, s, now);
+            let _rx = must_admit(&mut reg, &mut table, s, now);
         }
-        assert!(matches!(reg.admit(start(20), now), Admission::Busy { .. }));
-        assert!(matches!(reg.admit(start(21), now), Admission::Busy { .. }));
-        // Nothing drains while the registry sits at the high-water mark.
-        assert!(reg.pop_admission(now).is_none());
+        assert!(matches!(reg.admit(&mut table, start(20), now), Admission::Busy { .. }));
+        assert!(matches!(reg.admit(&mut table, start(21), now), Admission::Busy { .. }));
+        // Nothing drains while the daemon sits at the high-water mark.
+        assert!(reg.pop_admission(&mut table, now).is_none());
         // One slot frees -> the longest-parked session (20) re-admits,
         // and only that one (the mark is reached again).
-        reg.finish(0, &Err(NetError::Closed));
-        let (session, _rx20) = reg.pop_admission(now).expect("queued start re-admits");
+        reg.finish(&mut table, 0, &Err(NetError::Closed), now);
+        let (session, _rx20) = reg.pop_admission(&mut table, now).expect("queued start re-admits");
         assert_eq!(session, 20, "FIFO: arrival order");
-        assert!(reg.pop_admission(now).is_none());
+        assert!(reg.pop_admission(&mut table, now).is_none());
         // A parked entry whose coordinator stopped refreshing it is
         // dropped at drain time instead of burning a slot.
-        reg.finish(1, &Err(NetError::Closed));
-        assert!(reg.pop_admission(now + QUEUE_STALE + Duration::from_secs(1)).is_none());
-        assert_eq!(reg.open_sessions(), high - 1, "stale entry admitted nothing");
+        reg.finish(&mut table, 1, &Err(NetError::Closed), now);
+        let stale = now + QUEUE_STALE + Duration::from_secs(1);
+        assert!(reg.pop_admission(&mut table, stale).is_none());
+        assert_eq!(table.len(), high - 1, "stale entry admitted nothing");
         // Refusals answered while parked still count 1:1.
-        assert_eq!(reg.stats().busy, reg.stats().rejected);
+        assert_eq!(reg.stats.busy, reg.stats.rejected);
     }
 
     /// End-to-end over the simulator: a coordinator drives concurrent

@@ -5,7 +5,7 @@
 //! core. This module scales the daemon *horizontally on one address*:
 //! N worker threads, each with its own [`crate::rt`] executor (and
 //! epoll reactor), its own `SO_REUSEPORT` socket, its own
-//! [`crate::serve::SessionRegistry`] and
+//! [`crate::serve::Server`] (receive loop, routes, admission) and
 //! [`crate::transport::SharedTransport`] + flow budget — **no shared
 //! mutable protocol state between shards**.
 //!

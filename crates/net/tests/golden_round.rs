@@ -10,7 +10,7 @@
 use std::time::Duration;
 use thinair_core::estimate::{Estimator, Tuning};
 use thinair_core::round::XSchedule;
-use thinair_net::demo::sim_round;
+use thinair_net::driver::drive_sim;
 use thinair_net::session::SessionConfig;
 use thinair_netsim::IidMedium;
 
@@ -37,7 +37,8 @@ fn net_round_secret_is_byte_identical_to_scalar_stack() {
         ..SessionConfig::default()
     };
     let medium = IidMedium::symmetric(4, 0.0, 5);
-    let outcomes = sim_round(medium, &cfg, 0xC0FFEE, 1234).expect("round completes");
+    let outcomes =
+        drive_sim(medium, &cfg, &[0xC0FFEE], 1234).expect("round completes").outcomes.remove(0);
     let first = &outcomes[0];
     for out in &outcomes {
         assert_eq!(out.secret, first.secret, "node {} disagrees", out.node);

@@ -159,7 +159,8 @@ fn assert_prompt(elapsed: Duration, lost: u64, cfg: &SessionConfig) {
     );
 }
 
-/// `Node::participate`: the terminal node's pump re-acks the late Fin.
+/// `Node::participate`: the terminal node's receive loop re-acks the
+/// late Fin.
 #[test]
 fn late_fin_is_reacked_on_the_participate_path() {
     let cfg = cfg(3);
@@ -190,10 +191,11 @@ fn late_fin_is_reacked_on_the_participate_path() {
     });
     assert_prompt(started.elapsed(), lost, &cfg);
     assert_eq!(outs.len(), 1);
-    assert!(reacks("node.time_wait.reacks") > 0, "the terminal nodes' pumps answered");
+    assert!(reacks("demux.time_wait.reacks") > 0, "the terminal nodes' receive loops answered");
 }
 
-/// `Server`: the serve registry re-acks the late Fin without a task.
+/// `Server`: the daemon's receive loop re-acks the late Fin without a
+/// task.
 #[test]
 fn late_fin_is_reacked_by_a_serve_daemon() {
     const SESSIONS: u64 = 4;
@@ -221,15 +223,15 @@ fn late_fin_is_reacked_by_a_serve_daemon() {
         coordinated
     });
     assert_prompt(started.elapsed(), lost, &cfg);
-    assert!(reacks("serve.time_wait.reacks") > 0, "the daemons' registries answered");
+    assert!(reacks("demux.time_wait.reacks") > 0, "the daemons' receive loops answered");
     for h in &handles {
         assert_eq!(h.stats().completed, SESSIONS);
         assert_eq!(h.open_sessions(), 0, "a re-ack holds no slot");
     }
 }
 
-/// A 2-worker sharded daemon: frames reach the owner shard's registry
-/// across the fabric, and its TIME_WAIT window answers them.
+/// A 2-worker sharded daemon: frames reach the owner shard's receive
+/// loop across the fabric, and its TIME_WAIT window answers them.
 #[test]
 fn late_fin_is_reacked_by_a_sharded_daemon() {
     const SESSIONS: u64 = 8;
@@ -262,18 +264,38 @@ fn late_fin_is_reacked_by_a_sharded_daemon() {
     assert_eq!(completed, SESSIONS);
     let reacks: u64 = reports
         .iter()
-        .map(|r| r.snapshot.counters.get("serve.time_wait.reacks").copied().unwrap_or(0))
+        .map(|r| r.snapshot.counters.get("demux.time_wait.reacks").copied().unwrap_or(0))
         .sum();
     assert!(reacks > 0, "the owner shards' TIME_WAIT windows answered the late Fins");
+}
+
+/// Who plays the terminals of the session whose cost is pinned below.
+#[derive(Clone, Copy, Debug)]
+enum Terminals {
+    /// `Node::participate`, as the driver runs them.
+    Nodes,
+    /// Serve daemons, as loadbench runs them.
+    Servers,
 }
 
 /// The executor cost of one clean session is pinned exactly: under the
 /// virtual clock every poll and timer fire is deterministic. A role
 /// that woke on a fixed tick (or lingered after `Fin`) would blow
 /// through these bounds — one such terminal alone fired ~60 ticks of
-/// 10 ms across x-settle and linger.
+/// 10 ms across x-settle and linger. The pin holds whether the
+/// terminals are nodes or serve daemons: both run the one receive loop.
+///
+/// After the session, 5 s of virtual time must pass in well under 1 s
+/// of wall time: a receive loop that read the wall clock would spin on
+/// a deadline already in the virtual past.
 #[test]
 fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
+    for kind in [Terminals::Nodes, Terminals::Servers] {
+        one_session_cost(kind);
+    }
+}
+
+fn one_session_cost(kind: Terminals) {
     let cfg = SessionConfig {
         n_nodes: 3,
         schedule: XSchedule::CoordinatorOnly(12),
@@ -285,58 +307,80 @@ fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
         ..SessionConfig::default()
     };
     let net = SimNet::new(IidMedium::symmetric(3, 0.0, 1), 3);
-    let nodes: Vec<Node<_>> = (0..3).map(|i| Node::new(net.transport(i))).collect();
-    let (outs, cost) = rt::block_on_virtual(
+    let transports: Vec<_> = (0..3).map(|i| net.transport(i)).collect();
+    let (outs, cost, idle_wall) = rt::block_on_virtual(
         async move {
-            for node in &nodes {
-                node.start_pump();
+            let mut transports = transports.into_iter();
+            let coord = Node::new(transports.next().expect("coordinator transport"));
+            coord.start_pump();
+            let (mut nodes, mut served) = (Vec::new(), Vec::new());
+            for t in transports {
+                match kind {
+                    Terminals::Nodes => {
+                        let node = Node::new(t);
+                        node.start_pump();
+                        nodes.push(node);
+                    }
+                    Terminals::Servers => {
+                        let (cfg, limits) = (cfg.clone(), ServeLimits::default());
+                        let mut server = Server::new(SharedTransport::new(t), cfg, 3, limits);
+                        served.push(server.outcomes());
+                        rt::spawn(server.run());
+                    }
+                }
             }
             let before = rt::metrics();
-            let tasks: Vec<_> = nodes
-                .iter()
-                .enumerate()
+            let c = cfg.clone();
+            let coordinated =
+                rt::spawn(async move { coord.coordinate(1, c, task_seed(3, 1, 0)).await });
+            let terminals: Vec<_> = (1u8..)
+                .zip(nodes)
                 .map(|(i, node)| {
-                    let (node, cfg) = (node.clone(), cfg.clone());
-                    let seed = task_seed(3, 1, i as u8);
-                    rt::spawn(async move {
-                        if i == 0 {
-                            node.coordinate(1, cfg, seed).await
-                        } else {
-                            node.participate(1, cfg, seed).await
-                        }
-                    })
+                    let (cfg, seed) = (cfg.clone(), task_seed(3, 1, i));
+                    rt::spawn(async move { node.participate(1, cfg, seed).await })
                 })
                 .collect();
-            let mut outs = Vec::new();
-            for t in tasks {
+            let mut outs = vec![coordinated.await.expect("virtual session runs")];
+            for t in terminals {
                 outs.push(t.await.expect("virtual session runs"));
             }
-            (outs, rt::metrics().delta(&before))
+            for rx in &mut served {
+                outs.push(rx.recv().await.expect("the daemon reports its session"));
+            }
+            let cost = rt::metrics().delta(&before);
+            let wall = Instant::now();
+            rt::sleep(Duration::from_secs(5)).await;
+            (outs, cost, wall.elapsed())
         },
         Instant::now(),
         &mut || false,
     );
+    assert_eq!(outs.len(), 3, "{kind:?}");
     for out in &outs {
-        assert!(out.completed(), "node {} aborted: {:?}", out.node, out.abort);
+        assert!(out.completed(), "{kind:?}: node {} aborted: {:?}", out.node, out.abort);
         assert_eq!(out.secret, outs[0].secret);
     }
     let per_node = |n: u64| n as f64 / 3.0;
     assert!(
         per_node(cost.task_polls) <= 20.0,
-        "{} task polls for one session ({:.1} per node)",
+        "{kind:?}: {} task polls for one session ({:.1} per node)",
         cost.task_polls,
         per_node(cost.task_polls)
     );
     assert!(
         per_node(cost.timer_fires) <= 2.0,
-        "{} timer fires for one session ({:.1} per node)",
+        "{kind:?}: {} timer fires for one session ({:.1} per node)",
         cost.timer_fires,
         per_node(cost.timer_fires)
     );
     // What the session put on the wire: the frame count is the
     // protocol's, the bytes are mostly frame envelope. The fixed 25-byte
     // v1 envelope spent 1 342 bytes on these 40 frames.
-    assert_eq!(net.frames_transmitted(), 40);
+    assert_eq!(net.frames_transmitted(), 40, "{kind:?}");
     let wire_bytes = net.bits_transmitted() / 8;
-    assert!(wire_bytes <= 900, "{wire_bytes} bytes on the wire for one session");
+    assert!(wire_bytes <= 900, "{kind:?}: {wire_bytes} bytes on the wire for one session");
+    assert!(
+        idle_wall < Duration::from_secs(1),
+        "{kind:?}: 5 s of virtual time took {idle_wall:?} of wall time"
+    );
 }

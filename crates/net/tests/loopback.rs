@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 
 use thinair_core::estimate::{Estimator, Tuning};
 use thinair_core::round::XSchedule;
-use thinair_net::demo::{loopback_round, loopback_sessions, sim_round};
+use thinair_net::driver::{drive_loopback, drive_sim};
 use thinair_net::session::SessionConfig;
 use thinair_netsim::IidMedium;
 
@@ -29,7 +29,7 @@ fn cfg(n_nodes: u8) -> SessionConfig {
 /// group secrets.
 #[test]
 fn udp_round_four_nodes_agree() {
-    let outcomes = loopback_round(&cfg(4), 0xA11CE, 42).expect("round completes");
+    let outcomes = drive_loopback(&cfg(4), &[0xA11CE], 42).expect("round completes").remove(0);
     assert_eq!(outcomes.len(), 4);
     let first = &outcomes[0];
     assert!(first.l > 0, "expected a nonempty secret at drop 0.4");
@@ -49,7 +49,7 @@ fn udp_round_four_nodes_agree() {
 #[test]
 fn udp_concurrent_sessions_multiplex_on_one_socket() {
     let sessions = [1u64, 2, 3];
-    let all = loopback_sessions(&cfg(4), &sessions, 7).expect("all sessions complete");
+    let all = drive_loopback(&cfg(4), &sessions, 7).expect("all sessions complete");
     assert_eq!(all.len(), 3);
     let mut secrets = Vec::new();
     for (s, outcomes) in sessions.iter().zip(&all) {
@@ -83,7 +83,8 @@ fn sim_round_same_state_machines_agree() {
     // 4 protocol nodes + one extra medium node standing where Eve would.
     let medium = IidMedium::symmetric(5, 0.3, 9);
     let started = Instant::now();
-    let outcomes = sim_round(medium, &c, 0x51B, 31).expect("sim round completes");
+    let mut run = drive_sim(medium, &c, &[0x51B], 31).expect("sim round completes");
+    let outcomes = run.outcomes.remove(0);
     let elapsed = started.elapsed();
     assert!(elapsed < c.deadline / 4, "the round ran toward its deadline: {elapsed:?}");
     let first = &outcomes[0];
@@ -96,7 +97,7 @@ fn sim_round_same_state_machines_agree() {
 /// More terminals still converge (5 nodes = 1 coordinator + 4 terminals).
 #[test]
 fn udp_five_nodes_agree() {
-    let outcomes = loopback_round(&cfg(5), 5, 11).expect("round completes");
+    let outcomes = drive_loopback(&cfg(5), &[5], 11).expect("round completes").remove(0);
     let first = &outcomes[0];
     for out in &outcomes {
         assert_eq!(out.secret, first.secret);
@@ -110,7 +111,7 @@ fn udp_five_nodes_agree() {
 #[test]
 fn lossless_round_degrades_to_empty_secret() {
     let c = SessionConfig { drop_prob: 0.0, ..cfg(3) };
-    let outcomes = loopback_round(&c, 77, 3).expect("round completes");
+    let outcomes = drive_loopback(&c, &[77], 3).expect("round completes").remove(0);
     for out in &outcomes {
         assert_eq!(out.l, 0);
         assert!(out.secret.is_empty());

@@ -4,7 +4,7 @@
 //! `PlanAnnounce` (the pre-fix behavior was an unchecked `as u16`).
 
 use thinair_core::round::XSchedule;
-use thinair_net::demo::sim_round;
+use thinair_net::driver::drive_sim;
 use thinair_net::session::SessionConfig;
 use thinair_net::AbortReason;
 use thinair_netsim::IidMedium;
@@ -37,8 +37,8 @@ fn pool_past_u16_max_aborts_cleanly_on_every_node() {
     let n = u16::MAX as usize + 1;
     let cfg = cfg_with_pool(n);
     assert!(cfg.plan_bounds().is_err());
-    let outcomes =
-        sim_round(IidMedium::symmetric(3, 0.0, 1), &cfg, 0x0F10, 7).expect("round terminates");
+    let run = drive_sim(IidMedium::symmetric(3, 0.0, 1), &cfg, &[0x0F10], 7);
+    let outcomes = run.expect("round terminates").outcomes.remove(0);
     assert_eq!(outcomes.len(), 3);
     for out in &outcomes {
         match &out.abort {

@@ -116,11 +116,7 @@ fn loopback_busy_readmission_is_fifo() {
     let (socks, addrs) = bind_roster(2);
     let mut socks = socks.into_iter();
     let coord = SharedTransport::new(UdpTransport::new(socks.next().unwrap(), addrs.clone(), 0));
-    let limits = ServeLimits {
-        max_sessions: 1,
-        idle_timeout: Duration::from_millis(200),
-        ..ServeLimits::default()
-    };
+    let limits = ServeLimits { max_sessions: 1, idle_timeout: Duration::from_millis(200) };
     let server = Server::new(
         SharedTransport::new(UdpTransport::new(socks.next().unwrap(), addrs.clone(), 1)),
         cfg.clone(),
@@ -180,11 +176,7 @@ fn loopback_serve_rejects_at_capacity_and_evicts_idle() {
     let (socks, addrs) = bind_roster(2);
     let mut socks = socks.into_iter();
     let coord_sock = socks.next().unwrap();
-    let limits = ServeLimits {
-        max_sessions: 1,
-        idle_timeout: Duration::from_millis(300),
-        ..ServeLimits::default()
-    };
+    let limits = ServeLimits { max_sessions: 1, idle_timeout: Duration::from_millis(300) };
     let server = Server::new(
         SharedTransport::new(UdpTransport::new(socks.next().unwrap(), addrs.clone(), 1)),
         cfg.clone(),

@@ -32,7 +32,7 @@ use std::time::Duration;
 
 use thinair_core::estimate::{Estimator, Tuning};
 use thinair_core::round::XSchedule;
-use thinair_net::demo::{loopback_sessions, task_seed};
+use thinair_net::driver::{drive_loopback, task_seed};
 use thinair_net::node::Node;
 use thinair_net::rt;
 use thinair_net::session::SessionConfig;
@@ -459,7 +459,6 @@ fn run_serve(o: Options) -> Result<(), String> {
     let limits = ServeLimits {
         max_sessions: o.max_sessions,
         idle_timeout: Duration::from_millis(o.idle_ms),
-        ..ServeLimits::default()
     };
     if o.workers > 1 {
         return run_serve_sharded(&o, node, cfg, bind, limits);
@@ -766,7 +765,7 @@ fn run_demo(o: Options) -> Result<(), String> {
         "thinaird demo: {} nodes, {} session(s), {} x-packets, drop {:.2}",
         o.nodes, o.sessions, o.n_packets, o.drop
     );
-    let all = loopback_sessions(&cfg, &sessions, o.seed).map_err(|e| e.to_string())?;
+    let all = drive_loopback(&cfg, &sessions, o.seed).map_err(|e| e.to_string())?;
     let mut ok = true;
     for outcomes in &all {
         for out in outcomes {

@@ -461,7 +461,6 @@ fn wave_limits(spec: &ServeWaveSpec) -> ServeLimits {
             .map(|m| m as usize)
             .unwrap_or_else(|| (spec.concurrency as usize * 8).div_ceil(7).max(64)),
         idle_timeout: Duration::from_millis(spec.deadline_ms).max(Duration::from_secs(2)),
-        ..ServeLimits::default()
     }
 }
 

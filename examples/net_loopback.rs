@@ -9,7 +9,7 @@
 //!
 //! Run: `cargo run --example net_loopback`
 
-use thinair::net::demo::{loopback_round, sim_round};
+use thinair::net::driver::{drive_loopback, drive_sim};
 use thinair::net::session::SessionConfig;
 use thinair::netsim::IidMedium;
 use thinair::protocol::round::{run_group_round, RoundConfig, XSchedule};
@@ -42,8 +42,8 @@ fn main() {
         drop_prob: 0.0, // the medium supplies the losses
         ..SessionConfig::default()
     };
-    let outcomes =
-        sim_round(IidMedium::symmetric(n_terminals + 1, 0.4, 2), &net_cfg, 1, 2).unwrap();
+    let medium = IidMedium::symmetric(n_terminals + 1, 0.4, 2);
+    let outcomes = drive_sim(medium, &net_cfg, &[1], 2).unwrap().outcomes.remove(0);
     let agree = outcomes.windows(2).all(|w| w[0].secret == w[1].secret);
     println!("sim transport: L = {:>2}, agree = {}", outcomes[0].l, agree);
 
@@ -54,7 +54,7 @@ fn main() {
         drop_prob: 0.4, // loopback loses nothing; inject the erasures
         ..SessionConfig::default()
     };
-    let outcomes = loopback_round(&udp_cfg, 2, 3).unwrap();
+    let outcomes = drive_loopback(&udp_cfg, &[2], 3).unwrap().remove(0);
     let agree = outcomes.windows(2).all(|w| w[0].secret == w[1].secret);
     println!("loopback UDP:  L = {:>2}, agree = {}", outcomes[0].l, agree);
     if let Some(key) = outcomes[0].key() {
