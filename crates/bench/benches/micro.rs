@@ -66,14 +66,6 @@ fn bench_matrix(c: &mut Criterion) {
     // acting on 64 payloads of 1 KiB each).
     let payloads: Vec<Vec<Gf256>> =
         (0..64).map(|_| (0..1024).map(|_| Gf256(rng.gen())).collect()).collect();
-    c.bench_function("matrix/mul_payloads_64x64_1k", |bench| {
-        bench.iter(|| black_box(&m64).mul_payloads(black_box(&payloads)))
-    });
-    let rhs = m64.mul_payloads(&payloads);
-    c.bench_function("matrix/solve_payloads_64x64_1k", |bench| {
-        bench.iter(|| black_box(&m64).solve_payloads(black_box(&rhs)).unwrap())
-    });
-    // Same ops without the Vec<Vec<_>> boundary conversions.
     let plane = PayloadPlane::from_payloads(&payloads);
     c.bench_function("plane/mul_plane_64x64_1k", |bench| {
         bench.iter(|| black_box(&m64).mul_plane(black_box(&plane)))

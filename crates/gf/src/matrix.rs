@@ -172,21 +172,11 @@ impl Matrix {
         self.rows_iter().map(|row| dot(row, v)).collect()
     }
 
-    /// Applies `self` to a bundle of payload rows: returns
-    /// `self * payloads` where `payloads` is `cols x payload_len`.
+    /// `self * payloads` over a contiguous payload plane
+    /// (`cols × width` in, `rows × width` out).
     ///
     /// This is how y/z/s-packets are produced from x-packets: the same
     /// coefficient row acts on every symbol position of the payloads.
-    ///
-    /// Compatibility wrapper over [`Matrix::mul_plane`]; bulk callers
-    /// should hold a [`PayloadPlane`] and call that directly.
-    pub fn mul_payloads(&self, payloads: &[Vec<Gf256>]) -> Vec<Vec<Gf256>> {
-        assert_eq!(payloads.len(), self.cols, "payload count mismatch");
-        self.mul_plane(&PayloadPlane::from_payloads(payloads)).to_payloads()
-    }
-
-    /// `self * payloads` over a contiguous payload plane
-    /// (`cols × width` in, `rows × width` out).
     ///
     /// Each input row's eight doublings are materialized once
     /// ([`Doubles`]) and shared by every output row, so one coefficient
@@ -299,20 +289,6 @@ impl Matrix {
             x[p] = aug[(r, self.cols)];
         }
         Some(x)
-    }
-
-    /// Solves `self * X = B` for a matrix of right-hand sides (columns of
-    /// `B` are independent systems). Payload-shaped: `B` is given as rows
-    /// of length `payload_len` matching `self.rows()` entries.
-    ///
-    /// Returns `None` under the same conditions as [`Matrix::solve`].
-    ///
-    /// Compatibility wrapper over [`Matrix::solve_plane`].
-    pub fn solve_payloads(&self, b: &[Vec<Gf256>]) -> Option<Vec<Vec<Gf256>>> {
-        assert_eq!(b.len(), self.rows, "solve_payloads rhs count mismatch");
-        let plen = b.first().map_or(0, |p| p.len());
-        assert!(b.iter().all(|p| p.len() == plen), "ragged rhs payloads");
-        Some(self.solve_plane(&PayloadPlane::from_payloads(b))?.to_payloads())
     }
 
     /// Solves `self * X = B` where `B` is a payload plane with one row
@@ -564,37 +540,6 @@ mod tests {
         let x = vec![Gf256(5), Gf256(9)];
         let b = a.mul_vec(&x);
         assert_eq!(a.solve(&b), Some(x));
-    }
-
-    #[test]
-    fn mul_payloads_matches_mul_vec_per_symbol() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = Matrix::random(3, 4, &mut rng);
-        let payloads: Vec<Vec<Gf256>> =
-            (0..4).map(|_| (0..6).map(|_| Gf256(rng.gen())).collect()).collect();
-        let out = a.mul_payloads(&payloads);
-        for k in 0..6 {
-            let col: Vec<Gf256> = payloads.iter().map(|p| p[k]).collect();
-            let expect = a.mul_vec(&col);
-            let got: Vec<Gf256> = out.iter().map(|o| o[k]).collect();
-            assert_eq!(got, expect, "symbol position {k}");
-        }
-    }
-
-    #[test]
-    fn solve_payloads_round_trip() {
-        let mut rng = StdRng::seed_from_u64(13);
-        loop {
-            let a = Matrix::random(4, 4, &mut rng);
-            if a.rank() < 4 {
-                continue;
-            }
-            let x: Vec<Vec<Gf256>> =
-                (0..4).map(|_| (0..5).map(|_| Gf256(rng.gen())).collect()).collect();
-            let b = a.mul_payloads(&x);
-            assert_eq!(a.solve_payloads(&b), Some(x));
-            break;
-        }
     }
 
     #[test]

@@ -98,17 +98,6 @@ proptest! {
     }
 
     #[test]
-    fn mul_payloads_wrapper_equals_mul_plane(
-        (m, p) in (1usize..=5, 1usize..=5).prop_flat_map(|(r, c)| {
-            (matrix(r, c), plane_exact(c, 9))
-        })
-    ) {
-        let via_plane = m.mul_plane(&p).to_payloads();
-        let via_wrapper = m.mul_payloads(&p.to_payloads());
-        prop_assert_eq!(via_plane, via_wrapper);
-    }
-
-    #[test]
     fn solve_plane_round_trips(seed in any::<u64>(), width in 0usize..9) {
         use rand::{Rng, SeedableRng, rngs::StdRng};
         let mut rng = StdRng::seed_from_u64(seed);

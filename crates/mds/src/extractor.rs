@@ -15,7 +15,7 @@
 //! below.
 
 use crate::cauchy::{cauchy_matrix, CauchyError};
-use thinair_gf::{Gf256, Matrix, PayloadPlane};
+use thinair_gf::{Matrix, PayloadPlane};
 
 /// A privacy-amplification extractor: maps `k` partially-leaked shared
 /// packets to `m` secret packets.
@@ -62,16 +62,7 @@ impl Extractor {
     }
 
     /// Applies the extractor to `k` shared packets, producing `m` secret
-    /// packets.
-    ///
-    /// # Panics
-    /// Panics when `shared.len() != self.inputs()`.
-    pub fn extract(&self, shared: &[Vec<Gf256>]) -> Vec<Vec<Gf256>> {
-        self.matrix.mul_payloads(shared)
-    }
-
-    /// Plane form of [`Extractor::extract`]: `k × width` in,
-    /// `m × width` out.
+    /// packets: `k × width` in, `m × width` out.
     ///
     /// # Panics
     /// Panics when `shared.rows() != self.inputs()`.
@@ -97,6 +88,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use thinair_gf::Gf256;
 
     #[test]
     fn dimensions() {
@@ -117,7 +109,7 @@ mod tests {
         let e = Extractor::new(2, 4).unwrap();
         let shared: Vec<Vec<Gf256>> =
             (0..4).map(|_| (0..8).map(|_| Gf256(rng.gen())).collect()).collect();
-        let out = e.extract(&shared);
+        let out = e.extract_plane(&PayloadPlane::from_payloads(&shared)).to_payloads();
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].len(), 8);
     }
@@ -184,7 +176,7 @@ mod tests {
         let mut outputs = std::collections::BTreeSet::new();
         for v in 0..=255u8 {
             let shared = vec![known[0].clone(), known[1].clone(), vec![Gf256(v)]];
-            let out = e.extract(&shared);
+            let out = e.extract_plane(&PayloadPlane::from_payloads(&shared)).to_payloads();
             outputs.insert(out[0][0].value());
         }
         assert_eq!(outputs.len(), 256, "output must be a bijection of the unknown symbol");

@@ -39,12 +39,13 @@
 //!   frames by session id, re-acks late frames of finished sessions from
 //!   its TIME_WAIT window, and counts orphans; [`node`] and [`serve`]
 //!   both run it.
-//! * [`node`] — one socket, many concurrent sessions (session-id
-//!   routing), the daemon building block.
-//! * [`serve`] — the long-lived daemon layer: a [`serve::Server`]
-//!   auto-admits terminal sessions initiated by a coordinator, with
-//!   admission caps, FIFO re-admission, idle eviction and terminal-state
-//!   GC — thousands of concurrent sessions multiplexed over one socket.
+//! * [`node`] — the coordinator's side: one socket, many concurrent
+//!   sessions it opens itself (session-id routing).
+//! * [`serve`] — the terminal's side, the long-lived daemon layer: a
+//!   [`serve::Server`] auto-admits terminal sessions initiated by a
+//!   coordinator, with admission caps, FIFO re-admission, idle eviction
+//!   and terminal-state GC — thousands of concurrent sessions
+//!   multiplexed over one socket.
 //! * [`shard`] — multi-core serve: N worker threads, each its own
 //!   runtime + registry + `SO_REUSEPORT` socket on one shared address,
 //!   with session-id-hash dispatch and cross-shard frame forwarding
@@ -53,9 +54,10 @@
 //!   `SO_REUSEPORT`); the only module allowed `unsafe`, with graceful
 //!   non-Linux fallbacks.
 //! * [`driver`] — the multi-session driver: a batch of concurrent
-//!   sessions over prepared nodes, loopback UDP sockets or a simulated
-//!   medium, with bit/frame measurements (`thinair-scenario`'s
-//!   substrate, and the `thinaird demo` subcommand).
+//!   sessions, one coordinator node plus serve daemons, over any
+//!   transports, loopback UDP sockets or a simulated medium, with
+//!   bit/frame measurements (`thinair-scenario`'s substrate, and the
+//!   `thinaird demo` subcommand).
 //! * [`telemetry`] — the unified observability registry: named
 //!   counters/gauges, log2-bucketed histograms with bounded-error
 //!   percentiles, and a per-session span/event trace with JSONL
@@ -104,7 +106,7 @@ pub mod transport;
 pub mod udp;
 
 pub use chaos::FaultStats;
-pub use driver::{drive_loopback, drive_nodes, drive_sim, drive_sim_chaos, SimRun};
+pub use driver::{drive_loopback, drive_sim, drive_sim_chaos, run_sessions, SimRun};
 pub use frame::{Frame, NetPayload};
 pub use node::Node;
 pub use reliable::{backoff_delay, FlowBudget, RetransmitPolicy};

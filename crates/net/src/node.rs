@@ -1,19 +1,18 @@
-//! The node: one transport, one receive pump, many concurrent sessions.
+//! The node: one transport, one receive pump, many concurrent
+//! coordinator sessions.
 //!
-//! A daemon owns a single socket; the pump (the transport's one receive
-//! loop, `crate::demux`) routes frames by session id to whichever
-//! session state machines are open — that's how one `thinaird` process
+//! A coordinator owns a single socket; the pump (the transport's one
+//! receive loop, `crate::demux`) routes frames by session id to whichever
+//! sessions it has open — that's how one `thinaird coordinator` process
 //! multiplexes many concurrent group rounds ("session-id routing"). A
-//! terminal session that completed enters the loop's TIME_WAIT window:
-//! until its deadline, a late reliable frame from its coordinator is
-//! re-acked. A node admits nothing, so other frames for unknown sessions
-//! are dropped and counted as orphans.
+//! node admits nothing, so frames for unknown sessions are dropped and
+//! counted as orphans. Terminals are [`crate::serve::Server`]s, which
+//! admit each session on its coordinator's `Start`.
 
 use crate::coordinator::run_coordinator;
 use crate::demux::Demux;
 use crate::rt;
 use crate::session::{NetError, SessionConfig, SessionOutcome};
-use crate::terminal::run_terminal;
 use crate::transport::{SharedTransport, Transport};
 
 /// One protocol node over one transport.
@@ -40,13 +39,7 @@ impl<T: Transport + 'static> Node<T> {
         Node { t, demux: Demux::default() }
     }
 
-    /// The underlying shared transport.
-    pub fn transport(&self) -> SharedTransport<T> {
-        self.t.clone()
-    }
-
-    /// Frames received for sessions nobody had open (TIME_WAIT re-acks
-    /// excluded: they count in `demux.time_wait.reacks`).
+    /// Frames received for sessions nobody had open.
     pub fn orphan_frames(&self) -> u64 {
         self.demux.table().orphans
     }
@@ -82,25 +75,6 @@ impl<T: Transport + 'static> Node<T> {
         let rx = self.demux.table().open(session, rt::now(), None);
         let result = run_coordinator(self.t.clone(), rx, session, cfg, seed).await;
         self.demux.table().retire(session, None);
-        result
-    }
-
-    /// Runs one session as a terminal. Once it completes, the session
-    /// stays in TIME_WAIT until its deadline (see the module docs).
-    ///
-    /// # Panics
-    /// Panics when `session` is already open on this node.
-    pub async fn participate(
-        &self,
-        session: u64,
-        cfg: SessionConfig,
-        seed: u64,
-    ) -> Result<SessionOutcome, NetError> {
-        let rx = self.demux.table().open(session, rt::now(), None);
-        let reack = (cfg.coordinator, cfg.deadline);
-        let result = run_terminal(self.t.clone(), rx, session, cfg, seed).await;
-        let completed = matches!(&result, Ok(out) if out.completed());
-        self.demux.table().retire(session, completed.then_some(reack));
         result
     }
 }

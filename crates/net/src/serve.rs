@@ -1,14 +1,16 @@
 //! Serve mode: one long-lived daemon, one socket, thousands of
 //! concurrent auto-admitted sessions.
 //!
-//! [`crate::node::Node`] multiplexes sessions a caller *opens
+//! [`crate::node::Node`] multiplexes the sessions a coordinator *opens
 //! explicitly*. A deployment at the paper's pitch — cheap secret
 //! agreement for many device pairs on a shared medium — needs the dual:
 //! a terminal daemon that sits on its socket and serves whatever group
 //! rounds coordinators initiate, without a human opening each one. That
-//! is [`Server`]. It runs the same receive loop as a node
-//! (`crate::demux`: routes, TIME_WAIT, orphans) and adds the policy
-//! for frames no route claims:
+//! is [`Server`], the one way to be a terminal (`thinaird serve` and
+//! `terminal`, [`crate::driver::run_sessions`] and the shards all run
+//! it). It runs the same receive loop as a node (`crate::demux`:
+//! routes, TIME_WAIT, orphans) and adds the policy for frames no route
+//! claims:
 //!
 //! * **Admission** — a frame for an unknown session spawns a terminal
 //!   state machine iff it is a `Start` from the configured coordinator

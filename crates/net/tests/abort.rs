@@ -11,8 +11,9 @@ use thinair_net::driver::drive_sim_chaos;
 use thinair_net::node::Node;
 use thinair_net::rt;
 use thinair_net::session::{AbortReason, SessionConfig};
-use thinair_net::transport::UdpTransport;
+use thinair_net::transport::{SharedTransport, UdpTransport};
 use thinair_net::udp::AsyncUdpSocket;
+use thinair_net::{ServeLimits, Server};
 use thinair_netsim::{CrashSpec, FaultPlan, IidMedium};
 
 fn cfg(n_nodes: u8, deadline: Duration) -> SessionConfig {
@@ -74,9 +75,9 @@ fn crashed_terminal_aborts_cleanly_on_sim() {
 }
 
 /// Loopback UDP: the roster names three nodes but node 2's process is
-/// never started (the real-world crash). Both live nodes yield
-/// structured aborts within the deadline — the `drive`-level
-/// equivalent of "no hang" on real sockets.
+/// never started (the real-world crash). Both live nodes — the
+/// coordinator and node 1's serve daemon — yield structured aborts
+/// within the deadline: the equivalent of "no hang" on real sockets.
 #[test]
 fn dead_peer_aborts_cleanly_on_udp() {
     let deadline = Duration::from_millis(800);
@@ -87,29 +88,22 @@ fn dead_peer_aborts_cleanly_on_udp() {
     let addrs: Vec<SocketAddr> = socks.iter().map(|s| s.local_addr().unwrap()).collect();
     let mut it = socks.into_iter();
     let node0 = Node::new(UdpTransport::new(it.next().unwrap(), addrs.clone(), 0));
-    let node1 = Node::new(UdpTransport::new(it.next().unwrap(), addrs.clone(), 1));
+    let t1 = SharedTransport::new(UdpTransport::new(it.next().unwrap(), addrs.clone(), 1));
+    let mut daemon1 = Server::new(t1, c.clone(), 2, ServeLimits::default());
+    let mut served = daemon1.outcomes();
 
     let started = Instant::now();
     let (coord, term) = rt::block_on(async {
         node0.start_pump();
-        node1.start_pump();
-        let h0 = rt::spawn({
-            let node0 = node0.clone();
-            let c = c.clone();
-            async move { node0.coordinate(7, c, 1).await }
-        });
-        let h1 = rt::spawn({
-            let node1 = node1.clone();
-            let c = c.clone();
-            async move { node1.participate(7, c, 2).await }
-        });
-        (h0.await, h1.await)
+        rt::spawn(daemon1.run());
+        let coord = node0.coordinate(7, c.clone(), 1).await;
+        (coord, served.recv().await)
     });
     let elapsed = started.elapsed();
     assert!(elapsed < deadline * 3, "no hang on UDP either: took {elapsed:?}");
 
     let coord = coord.expect("coordinator returns Ok");
-    let term = term.expect("terminal returns Ok");
+    let term = term.expect("the daemon reports the session it admitted");
     for out in [&coord, &term] {
         let reason = out.abort.as_ref().expect("both live nodes abort");
         match reason {

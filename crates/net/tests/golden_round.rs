@@ -39,6 +39,7 @@ fn net_round_secret_is_byte_identical_to_scalar_stack() {
     let medium = IidMedium::symmetric(4, 0.0, 5);
     let outcomes =
         drive_sim(medium, &cfg, &[0xC0FFEE], 1234).expect("round completes").outcomes.remove(0);
+    assert_eq!(outcomes.len(), cfg.n_nodes as usize, "every node reports");
     let first = &outcomes[0];
     for out in &outcomes {
         assert_eq!(out.secret, first.secret, "node {} disagrees", out.node);

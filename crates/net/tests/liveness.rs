@@ -2,12 +2,11 @@
 //!
 //! A terminal returns as soon as it has acked `Fin`. When that ack is
 //! lost, the coordinator retransmits `Fin` to a terminal that is already
-//! gone, and the router's TIME_WAIT window must answer for it — on the
-//! `Node::participate` path, on a `Server`, and on a sharded daemon. The
-//! tests below swallow every Fin-ack at the coordinator for
-//! [`SWALLOW`] (longer than the 12 × `retransmit` a terminal once
-//! lingered for) and require the coordinator to complete well inside its
-//! deadline.
+//! gone, and the daemon's TIME_WAIT window must answer for it — on a
+//! `Server` and on a sharded daemon. The tests below swallow every
+//! Fin-ack at the coordinator for [`SWALLOW`] (longer than the
+//! 12 × `retransmit` a terminal once lingered for) and require the
+//! coordinator to complete well inside its deadline.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -159,41 +158,6 @@ fn assert_prompt(elapsed: Duration, lost: u64, cfg: &SessionConfig) {
     );
 }
 
-/// `Node::participate`: the terminal node's receive loop re-acks the
-/// late Fin.
-#[test]
-fn late_fin_is_reacked_on_the_participate_path() {
-    let cfg = cfg(3);
-    let (socks, addrs) = bind_roster(3);
-    let mut socks = socks.into_iter();
-    let coord_sock = socks.next().expect("socket");
-    let terminals: Vec<Node<UdpTransport>> = socks
-        .enumerate()
-        .map(|(i, s)| Node::new(UdpTransport::new(s, addrs.clone(), i as u8 + 1)))
-        .collect();
-    let started = Instant::now();
-    let (outs, lost) = rt::block_on(async {
-        let mut handles = Vec::new();
-        for node in &terminals {
-            node.start_pump();
-            let (node, cfg) = (node.clone(), cfg.clone());
-            let me = node.transport().local_node();
-            handles.push(rt::spawn(
-                async move { node.participate(1, cfg, task_seed(5, 1, me)).await },
-            ));
-        }
-        let coordinated = coordinate_swallowed(coord_sock, addrs.clone(), &cfg, 1).await;
-        for h in handles {
-            let out = h.await.expect("terminal io ok");
-            assert!(out.completed(), "terminal aborted: {:?}", out.abort);
-        }
-        coordinated
-    });
-    assert_prompt(started.elapsed(), lost, &cfg);
-    assert_eq!(outs.len(), 1);
-    assert!(reacks("demux.time_wait.reacks") > 0, "the terminal nodes' receive loops answered");
-}
-
 /// `Server`: the daemon's receive loop re-acks the late Fin without a
 /// task.
 #[test]
@@ -269,33 +233,18 @@ fn late_fin_is_reacked_by_a_sharded_daemon() {
     assert!(reacks > 0, "the owner shards' TIME_WAIT windows answered the late Fins");
 }
 
-/// Who plays the terminals of the session whose cost is pinned below.
-#[derive(Clone, Copy, Debug)]
-enum Terminals {
-    /// `Node::participate`, as the driver runs them.
-    Nodes,
-    /// Serve daemons, as loadbench runs them.
-    Servers,
-}
-
 /// The executor cost of one clean session is pinned exactly: under the
 /// virtual clock every poll and timer fire is deterministic. A role
 /// that woke on a fixed tick (or lingered after `Fin`) would blow
 /// through these bounds — one such terminal alone fired ~60 ticks of
-/// 10 ms across x-settle and linger. The pin holds whether the
-/// terminals are nodes or serve daemons: both run the one receive loop.
+/// 10 ms across x-settle and linger. The terminals are serve daemons, as
+/// every harness and deployment runs them.
 ///
 /// After the session, 5 s of virtual time must pass in well under 1 s
 /// of wall time: a receive loop that read the wall clock would spin on
 /// a deadline already in the virtual past.
 #[test]
 fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
-    for kind in [Terminals::Nodes, Terminals::Servers] {
-        one_session_cost(kind);
-    }
-}
-
-fn one_session_cost(kind: Terminals) {
     let cfg = SessionConfig {
         n_nodes: 3,
         schedule: XSchedule::CoordinatorOnly(12),
@@ -313,37 +262,18 @@ fn one_session_cost(kind: Terminals) {
             let mut transports = transports.into_iter();
             let coord = Node::new(transports.next().expect("coordinator transport"));
             coord.start_pump();
-            let (mut nodes, mut served) = (Vec::new(), Vec::new());
+            let mut served = Vec::new();
             for t in transports {
-                match kind {
-                    Terminals::Nodes => {
-                        let node = Node::new(t);
-                        node.start_pump();
-                        nodes.push(node);
-                    }
-                    Terminals::Servers => {
-                        let (cfg, limits) = (cfg.clone(), ServeLimits::default());
-                        let mut server = Server::new(SharedTransport::new(t), cfg, 3, limits);
-                        served.push(server.outcomes());
-                        rt::spawn(server.run());
-                    }
-                }
+                let (cfg, limits) = (cfg.clone(), ServeLimits::default());
+                let mut server = Server::new(SharedTransport::new(t), cfg, 3, limits);
+                served.push(server.outcomes());
+                rt::spawn(server.run());
             }
             let before = rt::metrics();
             let c = cfg.clone();
             let coordinated =
                 rt::spawn(async move { coord.coordinate(1, c, task_seed(3, 1, 0)).await });
-            let terminals: Vec<_> = (1u8..)
-                .zip(nodes)
-                .map(|(i, node)| {
-                    let (cfg, seed) = (cfg.clone(), task_seed(3, 1, i));
-                    rt::spawn(async move { node.participate(1, cfg, seed).await })
-                })
-                .collect();
             let mut outs = vec![coordinated.await.expect("virtual session runs")];
-            for t in terminals {
-                outs.push(t.await.expect("virtual session runs"));
-            }
             for rx in &mut served {
                 outs.push(rx.recv().await.expect("the daemon reports its session"));
             }
@@ -355,32 +285,32 @@ fn one_session_cost(kind: Terminals) {
         Instant::now(),
         &mut || false,
     );
-    assert_eq!(outs.len(), 3, "{kind:?}");
+    assert_eq!(outs.len(), 3);
     for out in &outs {
-        assert!(out.completed(), "{kind:?}: node {} aborted: {:?}", out.node, out.abort);
+        assert!(out.completed(), "node {} aborted: {:?}", out.node, out.abort);
         assert_eq!(out.secret, outs[0].secret);
     }
     let per_node = |n: u64| n as f64 / 3.0;
     assert!(
         per_node(cost.task_polls) <= 20.0,
-        "{kind:?}: {} task polls for one session ({:.1} per node)",
+        "{} task polls for one session ({:.1} per node)",
         cost.task_polls,
         per_node(cost.task_polls)
     );
     assert!(
         per_node(cost.timer_fires) <= 2.0,
-        "{kind:?}: {} timer fires for one session ({:.1} per node)",
+        "{} timer fires for one session ({:.1} per node)",
         cost.timer_fires,
         per_node(cost.timer_fires)
     );
     // What the session put on the wire: the frame count is the
     // protocol's, the bytes are mostly frame envelope. The fixed 25-byte
     // v1 envelope spent 1 342 bytes on these 40 frames.
-    assert_eq!(net.frames_transmitted(), 40, "{kind:?}");
+    assert_eq!(net.frames_transmitted(), 40);
     let wire_bytes = net.bits_transmitted() / 8;
-    assert!(wire_bytes <= 900, "{kind:?}: {wire_bytes} bytes on the wire for one session");
+    assert!(wire_bytes <= 900, "{wire_bytes} bytes on the wire for one session");
     assert!(
         idle_wall < Duration::from_secs(1),
-        "{kind:?}: 5 s of virtual time took {idle_wall:?} of wall time"
+        "5 s of virtual time took {idle_wall:?} of wall time"
     );
 }

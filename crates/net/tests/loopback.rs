@@ -53,6 +53,7 @@ fn udp_concurrent_sessions_multiplex_on_one_socket() {
     assert_eq!(all.len(), 3);
     let mut secrets = Vec::new();
     for (s, outcomes) in sessions.iter().zip(&all) {
+        assert_eq!(outcomes.len(), 4, "session {s}: every node reports");
         let first = &outcomes[0];
         assert!(first.l > 0, "session {s}: empty secret");
         for out in outcomes {
@@ -72,7 +73,7 @@ fn udp_concurrent_sessions_multiplex_on_one_socket() {
 ///
 /// The medium erases control frames too, Fin-acks included, so the round
 /// also pins liveness: terminals return at their acked `Fin`, and their
-/// nodes' TIME_WAIT windows must re-ack the coordinator's retransmits,
+/// daemons' TIME_WAIT windows must re-ack the coordinator's retransmits,
 /// or the coordinator runs to its deadline.
 #[test]
 fn sim_round_same_state_machines_agree() {
@@ -87,6 +88,7 @@ fn sim_round_same_state_machines_agree() {
     let outcomes = run.outcomes.remove(0);
     let elapsed = started.elapsed();
     assert!(elapsed < c.deadline / 4, "the round ran toward its deadline: {elapsed:?}");
+    assert_eq!(outcomes.len(), 4, "every node reports");
     let first = &outcomes[0];
     assert!(first.l > 0, "expected a nonempty secret at p = 0.3");
     for out in &outcomes {
@@ -98,6 +100,7 @@ fn sim_round_same_state_machines_agree() {
 #[test]
 fn udp_five_nodes_agree() {
     let outcomes = drive_loopback(&cfg(5), &[5], 11).expect("round completes").remove(0);
+    assert_eq!(outcomes.len(), 5, "every node reports");
     let first = &outcomes[0];
     for out in &outcomes {
         assert_eq!(out.secret, first.secret);
@@ -112,6 +115,7 @@ fn udp_five_nodes_agree() {
 fn lossless_round_degrades_to_empty_secret() {
     let c = SessionConfig { drop_prob: 0.0, ..cfg(3) };
     let outcomes = drive_loopback(&c, &[77], 3).expect("round completes").remove(0);
+    assert_eq!(outcomes.len(), 3, "every node reports");
     for out in &outcomes {
         assert_eq!(out.l, 0);
         assert!(out.secret.is_empty());

@@ -35,11 +35,13 @@ use thinair_core::round::XSchedule;
 use thinair_net::driver::{drive_loopback, task_seed};
 use thinair_net::node::Node;
 use thinair_net::rt;
+use thinair_net::rt::chan::Receiver;
 use thinair_net::session::SessionConfig;
 use thinair_net::telemetry;
 use thinair_net::transport::UdpTransport;
 use thinair_net::{
-    bind_shard_sockets, run_sharded_serve, ServeLimits, ServeStats, Server, ShardedServeOptions,
+    bind_shard_sockets, run_sharded_serve, ServeHandle, ServeLimits, ServeStats, Server,
+    SessionOutcome, ShardedServeOptions,
 };
 use thinair_scenario::ServeBackend;
 use thinair_scenario::{
@@ -54,8 +56,7 @@ const USAGE: &str = "\
 thinaird — thinair node daemon (secret agreement over UDP)
 
 USAGE:
-    thinaird <coordinator|terminal> --node <ID> --peers <A0,A1,...> [OPTIONS]
-    thinaird serve --node <ID> --peers <A0,A1,...> [OPTIONS]
+    thinaird <coordinator|terminal|serve> --node <ID> --peers <A0,A1,...> [OPTIONS]
     thinaird demo [OPTIONS]
     thinaird bench-scenario [--smoke] [--out <PATH>] [--seed <S>] [--sessions <K>]
     thinaird bench-soak [--smoke] [--out <PATH>] [--seed <S>] [--sessions <K>]
@@ -67,8 +68,12 @@ USAGE:
     thinaird lint [ROOT]
 
 ROLES:
-    coordinator        run node <ID> as the round coordinator (Alice)
-    terminal           run node <ID> as a terminal (one session batch, then exit)
+    coordinator        run node <ID> as the round coordinator (Alice): start
+                       --sessions sessions from --session-id, then exit
+    terminal           run node <ID> as a bounded serve daemon: answer the
+                       first --sessions sessions a coordinator starts, then
+                       exit; exits 1 if any aborted, or if fewer started
+                       within --deadline-ms of launch
     serve              run node <ID> as a long-lived terminal daemon:
                        every session a coordinator starts is auto-admitted
                        (capacity permitting), multiplexed over one socket,
@@ -113,8 +118,9 @@ OPTIONS:
     --bind <ADDR>      bind address (default: the --peers entry for --node);
                        must be the address peers see, or your frames are dropped
     --nodes <N>        demo only: number of nodes                 [default: 4]
-    --sessions <K>     concurrent sessions to run                 [default: 1]
-    --session-id <S>   id of the first session                    [default: 1]
+    --sessions <K>     concurrent sessions to run (terminal: to answer) [default: 1]
+    --session-id <S>   coordinator (and demo) only: id of the first session;
+                       terminals answer whatever ids it starts  [default: 1]
     --n-packets <N>    x-packets broadcast by the coordinator     [default: 60]
     --payload-len <B>  payload bytes per packet                   [default: 32]
     --drop <P>         injected data-plane erasure probability    [default: 0.4]
@@ -344,37 +350,52 @@ fn session_config(o: &Options, n_nodes: u8) -> SessionConfig {
     }
 }
 
-fn key_hex(outcome: &thinair_net::SessionOutcome) -> String {
+fn key_hex(outcome: &SessionOutcome) -> String {
     match outcome.key() {
         Some(k) => k.iter().map(|b| format!("{b:02x}")).collect(),
         None => "(no secret this round: L = 0)".into(),
     }
 }
 
-fn check_roster(peers: &[SocketAddr]) -> Result<(), String> {
-    if peers.len() < 2 {
+/// One outcome line, as every role prints it.
+fn print_outcome(out: &SessionOutcome) {
+    match &out.abort {
+        Some(reason) => println!("session {:#x} node {} ABORTED: {reason}", out.session, out.node),
+        None => println!(
+            "session {:#x} node {} L={} M={} N={} key {}",
+            out.session,
+            out.node,
+            out.l,
+            out.m,
+            out.n_packets,
+            key_hex(out)
+        ),
+    }
+}
+
+/// The `--node` of a role subcommand, checked against `--peers`.
+fn roster_node(o: &Options) -> Result<u8, String> {
+    let node = o.node.ok_or("--node is required")?;
+    if o.peers.len() < 2 {
         return Err("--peers must list at least two addresses".into());
     }
     // `SessionConfig::n_nodes` is a u8 (node ids ride the wire as u8):
     // reject oversized rosters at startup instead of wrapping to a
     // 0-node session config that fails every round.
-    if peers.len() > u8::MAX as usize {
-        return Err(format!("--peers lists {} addresses; at most 255 supported", peers.len()));
+    if o.peers.len() > u8::MAX as usize {
+        return Err(format!("--peers lists {} addresses; at most 255 supported", o.peers.len()));
     }
-    Ok(())
-}
-
-fn run_role(role: &str, o: Options) -> Result<(), String> {
-    let node = o.node.ok_or("--node is required")?;
-    check_roster(&o.peers)?;
     if node as usize >= o.peers.len() {
         return Err("--node must index into --peers".into());
     }
-    let is_coordinator = node == o.coordinator_id;
-    if is_coordinator != (role == "coordinator") {
+    Ok(node)
+}
+
+fn run_coordinator(o: Options) -> Result<(), String> {
+    let node = roster_node(&o)?;
+    if node != o.coordinator_id {
         return Err(format!(
-            "node {node} {} the coordinator id {}; pick the matching subcommand",
-            if is_coordinator { "is" } else { "is not" },
+            "node {node} is not the coordinator id {}; run `terminal` or `serve`",
             o.coordinator_id
         ));
     }
@@ -382,75 +403,44 @@ fn run_role(role: &str, o: Options) -> Result<(), String> {
     let bind = o.bind.unwrap_or(o.peers[node as usize]);
     let transport =
         UdpTransport::bind(bind, o.peers.clone(), node).map_err(|e| format!("bind {bind}: {e}"))?;
-    let node_handle = Node::new(transport);
+    let coordinator = Node::new(transport);
     eprintln!(
-        "thinaird: node {node} ({role}) on {bind}, {} peers, {} session(s), digest {:#018x}",
+        "thinaird: node {node} (coordinator) on {bind}, {} peers, {} session(s), digest {:#018x}",
         o.peers.len(),
         o.sessions,
         cfg.digest()
     );
     let outcomes = rt::block_on(async {
-        node_handle.start_pump();
+        coordinator.start_pump();
         // Sessions run concurrently, multiplexed by session id over the
         // one socket — the same shape a serve daemon handles them in.
-        let mut tasks = Vec::with_capacity(o.sessions as usize);
-        for s in 0..o.sessions {
-            let session = o.session_id + s;
-            let seed = task_seed(o.seed, session, node);
-            let node_handle = node_handle.clone();
-            let cfg = cfg.clone();
-            tasks.push(rt::spawn(async move {
-                if is_coordinator {
-                    node_handle.coordinate(session, cfg, seed).await
-                } else {
-                    node_handle.participate(session, cfg, seed).await
-                }
-            }));
-        }
+        let sessions = o.session_id..o.session_id + o.sessions;
+        let tasks: Vec<_> = sessions
+            .clone()
+            .map(|session| {
+                let (coordinator, cfg) = (coordinator.clone(), cfg.clone());
+                let seed = task_seed(o.seed, session, node);
+                rt::spawn(async move { coordinator.coordinate(session, cfg, seed).await })
+            })
+            .collect();
         let mut out = Vec::new();
-        for (s, t) in tasks.into_iter().enumerate() {
-            let session = o.session_id + s as u64;
+        for (session, t) in sessions.zip(tasks) {
             out.push(t.await.map_err(|e| format!("session {session}: {e}"))?);
-        }
-        if !is_coordinator {
-            // A terminal returns as soon as it acked `Fin`. Keep the
-            // pump, and with it the TIME_WAIT re-acks, up a while longer
-            // so a coordinator whose Fin-ack was lost is not stranded
-            // by this process exiting.
-            rt::sleep(cfg.retransmit * 12).await;
         }
         Ok::<_, String>(out)
     })?;
-    let mut aborted = 0usize;
-    for out in &outcomes {
-        match &out.abort {
-            Some(reason) => {
-                aborted += 1;
-                println!("session {:#x} node {} ABORTED: {reason}", out.session, out.node);
-            }
-            None => println!(
-                "session {:#x} node {} L={} M={} N={} key {}",
-                out.session,
-                out.node,
-                out.l,
-                out.m,
-                out.n_packets,
-                key_hex(out)
-            ),
-        }
-    }
+    outcomes.iter().for_each(print_outcome);
+    let aborted = outcomes.iter().filter(|o| o.abort.is_some()).count();
     if aborted > 0 {
         return Err(format!("{aborted} session(s) aborted"));
     }
     Ok(())
 }
 
-fn run_serve(o: Options) -> Result<(), String> {
-    let node = o.node.ok_or("--node is required")?;
-    check_roster(&o.peers)?;
-    if node as usize >= o.peers.len() {
-        return Err("--node must index into --peers".into());
-    }
+/// `serve`, or with `bounded` the `terminal` role: the same daemon,
+/// which exits after `--sessions` outcomes (see [`report_outcomes`]).
+fn run_serve(o: Options, bounded: bool) -> Result<(), String> {
+    let node = roster_node(&o)?;
     if node == o.coordinator_id {
         return Err("serve runs terminals; the coordinator initiates rounds".into());
     }
@@ -461,12 +451,16 @@ fn run_serve(o: Options) -> Result<(), String> {
         idle_timeout: Duration::from_millis(o.idle_ms),
     };
     if o.workers > 1 {
+        if bounded {
+            return Err("terminal runs one worker; use `serve --workers`".into());
+        }
         return run_serve_sharded(&o, node, cfg, bind, limits);
     }
     let transport =
         UdpTransport::bind(bind, o.peers.clone(), node).map_err(|e| format!("bind {bind}: {e}"))?;
+    let role = if bounded { "terminal" } else { "serve" };
     eprintln!(
-        "thinaird serve: node {node} on {bind}, {} peers, cap {} sessions, idle evict {} ms, \
+        "thinaird {role}: node {node} on {bind}, {} peers, cap {} sessions, idle evict {} ms, \
          digest {:#018x}",
         o.peers.len(),
         o.max_sessions,
@@ -483,31 +477,16 @@ fn run_serve(o: Options) -> Result<(), String> {
     if o.stats_every_ms.is_some() {
         telemetry::set_timing(true);
     }
+    let bound = bounded.then_some((o.sessions, cfg.deadline));
     let mut server = Server::new(thinair_net::SharedTransport::new(transport), cfg, o.seed, limits);
     let handle = server.handle();
     let stop_handle = handle.clone();
-    let mut outcomes = server.outcomes();
+    let outcomes = server.outcomes();
     let stats_every_ms = o.stats_every_ms;
     let trace_out = o.trace_out.clone();
     let run_for_ms = o.run_for_ms;
-    let result: std::io::Result<_> = rt::block_on(async move {
-        rt::spawn(async move {
-            while let Some(out) = outcomes.recv().await {
-                match &out.abort {
-                    Some(reason) => {
-                        println!("session {:#x} node {} ABORTED: {reason}", out.session, out.node)
-                    }
-                    None => println!(
-                        "session {:#x} node {} L={} M={} key {}",
-                        out.session,
-                        out.node,
-                        out.l,
-                        out.m,
-                        key_hex(&out)
-                    ),
-                }
-            }
-        });
+    let (result, (served, aborted)) = rt::block_on(async move {
+        let report = rt::spawn(report_outcomes(outcomes, stop_handle.clone(), bound));
         if let Some(ms) = run_for_ms {
             rt::spawn(async move {
                 rt::sleep(Duration::from_millis(ms)).await;
@@ -533,22 +512,68 @@ fn run_serve(o: Options) -> Result<(), String> {
                 }
             });
         }
-        server.run().await
+        let result = server.run().await;
+        (result, report.await)
     });
     if let Some(path) = &o.trace_out {
         flush_trace(path);
         let dropped = telemetry::trace_dropped();
         if dropped > 0 {
-            eprintln!("thinaird serve: trace {path}: {dropped} event(s) lost to ring overflow");
+            eprintln!("thinaird {role}: trace {path}: {dropped} event(s) lost to ring overflow");
         }
-        eprintln!("thinaird serve: trace written to {path}");
+        eprintln!("thinaird {role}: trace written to {path}");
     }
     let stats = handle.stats();
     eprintln!(
-        "thinaird serve: exiting; admitted {} completed {} aborted {} evicted {} rejected {}",
+        "thinaird {role}: exiting; admitted {} completed {} aborted {} evicted {} rejected {}",
         stats.admitted, stats.completed, stats.aborted, stats.evicted, stats.rejected
     );
-    result.map(|_| ()).map_err(|e| format!("serve loop failed: {e}"))
+    result.map_err(|e| format!("serve loop failed: {e}"))?;
+    if bounded && served < o.sessions {
+        return Err(format!("only {served} of {} session(s) started", o.sessions));
+    }
+    if bounded && aborted > 0 {
+        return Err(format!("{aborted} session(s) aborted"));
+    }
+    Ok(())
+}
+
+/// Prints the daemon's outcomes until its stream closes (the daemon
+/// stopped). With a `bound` of `(sessions, deadline)`, the `terminal`
+/// role, it stops the daemon itself after `sessions` outcomes: it admits
+/// for one deadline after launch, then waits only for the sessions
+/// still open, each of which ends within one deadline. Returns how many
+/// outcomes it saw and how many of them aborted.
+async fn report_outcomes(
+    mut outcomes: Receiver<SessionOutcome>,
+    handle: ServeHandle,
+    bound: Option<(u64, Duration)>,
+) -> (u64, u64) {
+    let launched = rt::now();
+    let (mut seen, mut aborted) = (0, 0);
+    loop {
+        let next = match bound {
+            None => outcomes.recv().await,
+            Some((sessions, _)) if seen >= sessions => break,
+            Some((_, deadline)) => {
+                let admitting = rt::now() < launched + deadline;
+                if !admitting && handle.open_sessions() == 0 {
+                    break;
+                }
+                let until = launched + if admitting { deadline } else { deadline * 2 };
+                match rt::timeout_at(until, outcomes.recv()).await {
+                    Err(rt::Elapsed) if admitting => continue,
+                    next => next.ok().flatten(),
+                }
+            }
+        };
+        let Some(out) = next else { break };
+        seen += 1;
+        aborted += u64::from(out.abort.is_some());
+        print_outcome(&out);
+    }
+    handle.stop();
+    (seen, aborted)
 }
 
 /// `serve --workers N`: the daemon sharded across N worker threads —
@@ -768,21 +793,7 @@ fn run_demo(o: Options) -> Result<(), String> {
     let all = drive_loopback(&cfg, &sessions, o.seed).map_err(|e| e.to_string())?;
     let mut ok = true;
     for outcomes in &all {
-        for out in outcomes {
-            match &out.abort {
-                Some(reason) => {
-                    println!("session {:#x} node {} ABORTED: {reason}", out.session, out.node)
-                }
-                None => println!(
-                    "session {:#x} node {} L={} M={} key {}",
-                    out.session,
-                    out.node,
-                    out.l,
-                    out.m,
-                    key_hex(out)
-                ),
-            }
-        }
+        outcomes.iter().for_each(print_outcome);
         let first = &outcomes[0];
         if outcomes.iter().any(|t| t.abort.is_some()) {
             eprintln!("session {:#x}: ABORTED", first.session);
@@ -1004,8 +1015,9 @@ fn main() -> ExitCode {
         }
     };
     let result = match cmd.as_str() {
-        "coordinator" | "terminal" => run_role(cmd, parsed),
-        "serve" => run_serve(parsed),
+        "coordinator" => run_coordinator(parsed),
+        "terminal" => run_serve(parsed, true),
+        "serve" => run_serve(parsed, false),
         "demo" => run_demo(parsed),
         "bench-scenario" => run_bench_scenario(parsed),
         "bench-soak" => run_bench_soak(parsed),

@@ -19,6 +19,11 @@
 //!   pending set instead of landing in receiver queues, and the
 //!   explorer decides which pending delivery fires next (or is
 //!   dropped — the explorer-placed erasure);
+//! * the batch is [`thinair_net::driver::run_sessions`]: the
+//!   coordinator is a node and every terminal a serve daemon
+//!   ([`thinair_net::Server`]) that admits the session on its `Start`,
+//!   so admission, spent-id refusal and the daemon's TIME_WAIT run in
+//!   every execution, exactly as a deployed daemon runs them;
 //! * the runtime runs under a **virtual clock**
 //!   ([`thinair_net::rt::block_on_virtual`]): whenever every task
 //!   blocks, the explorer's stall hook makes the next scheduling
@@ -69,10 +74,10 @@ use std::time::Duration;
 
 use thinair_core::estimate::Estimator;
 use thinair_core::round::XSchedule;
-use thinair_net::driver::task_seed;
+use thinair_net::driver::run_sessions;
 use thinair_net::rt;
 use thinair_net::session::SessionConfig;
-use thinair_net::{Node, PendingDelivery, SessionOutcome, SimNet, StepHandle};
+use thinair_net::{PendingDelivery, SessionOutcome, SimNet, StepHandle};
 use thinair_netsim::IidMedium;
 use thinair_testbed::parallel_map;
 
@@ -455,42 +460,13 @@ fn run_one(
     let n = cfg.n_nodes as usize;
     let net = SimNet::new(IidMedium::symmetric(n, 0.0, spec.seed), n);
     let step = net.stepper();
-    let nodes: Vec<Node<_>> = (0..n).map(|i| Node::new(net.transport(i as u8))).collect();
+    let transports = (0..n).map(|i| net.transport(i as u8)).collect();
     let mut rec = RunRecord::new(n);
-    let session = 1u64;
-    let seed = spec.seed;
-    let outcomes = {
+    let batch = {
         let mut hook = || step_once(spec, path, &step, &mut rec);
-        rt::block_on_virtual(
-            async move {
-                for node in &nodes {
-                    node.start_pump();
-                }
-                let mut handles = Vec::with_capacity(n);
-                for (i, node) in nodes.iter().enumerate() {
-                    let node = node.clone();
-                    let cfg = cfg.clone();
-                    let ts = task_seed(seed, session, i as u8);
-                    let coord = i as u8 == cfg.coordinator;
-                    handles.push(rt::spawn(async move {
-                        if coord {
-                            node.coordinate(session, cfg, ts).await
-                        } else {
-                            node.participate(session, cfg, ts).await
-                        }
-                    }));
-                }
-                let mut outs = Vec::with_capacity(n);
-                for h in handles {
-                    outs.push(h.await.expect("virtual sessions terminate cleanly"));
-                }
-                outs
-            },
-            base,
-            &mut hook,
-        )
+        rt::block_on_virtual(run_sessions(&cfg, transports, &[1], spec.seed), base, &mut hook)
     };
-    (rec, outcomes)
+    (rec, batch.expect("virtual sessions terminate cleanly").remove(0))
 }
 
 // ---------------------------------------------------------------------------
@@ -923,6 +899,21 @@ mod tests {
         assert!(!rec.truncated);
         assert!(rec.decisions.iter().all(|d| d.taken == DEFAULT_CHOICE));
         assert!(matches!(audit_session(&outcomes), SessionVerdict::Agreed { .. }));
+    }
+
+    /// Every terminal is a serve daemon: one execution admits the
+    /// session once on each of them.
+    #[test]
+    fn terminals_are_admitted_by_serve_daemons() {
+        let admitted = || {
+            let counters = thinair_net::telemetry::snapshot().counters;
+            counters.get("serve.admitted").copied().unwrap_or(0)
+        };
+        let spec = ExploreSpec::default();
+        let before = admitted();
+        let (_, outcomes) = run_one(&spec, &[], std::time::Instant::now());
+        assert_eq!(admitted() - before, spec.terminals as u64 - 1);
+        assert_eq!(outcomes.len(), spec.terminals as usize, "every node reports");
     }
 
     #[test]

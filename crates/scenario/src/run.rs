@@ -228,7 +228,10 @@ pub fn run_scenario(spec: &ScenarioSpec) -> Result<ScenarioResult, ScenarioError
                 reason: aborted.abort.clone().expect("found by abort"),
             });
         }
-        let coordinator = &outcomes[cfg.coordinator as usize];
+        let coordinator = outcomes
+            .iter()
+            .find(|o| o.node == cfg.coordinator)
+            .expect("the coordinator reports every session");
         if outcomes.iter().any(|o| o.secret != coordinator.secret) {
             return Err(ScenarioError::Disagreement { session });
         }

@@ -4,10 +4,11 @@
 //! # The safety invariant
 //!
 //! A session run under a [`thinair_netsim::FaultPlan`] must *safely
-//! terminate* on every live node, within the session deadline:
+//! terminate*, within the session deadline, on every node that ran it:
+//! the coordinator, and each terminal daemon that admitted its `Start`.
 //!
-//! 1. **No hangs** — every node returns, either completed or with a
-//!    structured [`thinair_net::AbortReason`].
+//! 1. **No hangs** — every such node returns, either completed or with
+//!    a structured [`thinair_net::AbortReason`].
 //! 2. **No divergence** — every node that completes holds the
 //!    byte-identical secret (and identical `(l, m)`).
 //! 3. **Explained aborts** — a session where any node aborts is a clean
