@@ -59,19 +59,22 @@ pub const FLAG_RELIABLE: u8 = 0x01;
 /// Hard cap on the payload length field (also bounds decode memory).
 pub const MAX_PAYLOAD: usize = 64 * 1024;
 
-/// Length of the fixed header fields (magic, version, flags, sender).
-const FIXED_LEN: usize = 2 + 1 + 1 + 1;
+/// Offset of the `session` varint: the fixed header fields (magic,
+/// version, flags, sender) come first. Its first byte carries the
+/// session id's low seven bits, which the kernel reads to steer a
+/// datagram to its shard ([`crate::shard`]).
+pub const SESSION_OFFSET: usize = 2 + 1 + 1 + 1;
 
 /// Trailing checksum length in bytes.
 pub const TRAILER_LEN: usize = 4;
 
 /// The shortest datagram that can hold a frame: the fixed fields, three
 /// one-byte varints, a payload tag and the checksum.
-const MIN_FRAME_LEN: usize = FIXED_LEN + 3 + 1 + TRAILER_LEN;
+const MIN_FRAME_LEN: usize = SESSION_OFFSET + 3 + 1 + TRAILER_LEN;
 
 /// The longest header: the fixed fields plus `session`, `seq` and `len`
 /// varints at their widest (10, 5 and 3 bytes).
-const MAX_HEADER_LEN: usize = FIXED_LEN + 10 + 5 + 3;
+const MAX_HEADER_LEN: usize = SESSION_OFFSET + 10 + 5 + 3;
 
 /// Runtime-level frame payloads.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -628,7 +631,7 @@ mod tests {
         // session: nine 0xff groups and a final 0x01; seq: 0xff x4, 0x0f.
         assert_eq!(&enc[5..15], &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]);
         assert_eq!(&enc[15..20], &[0xff, 0xff, 0xff, 0xff, 0x0f]);
-        assert_eq!(enc.len(), FIXED_LEN + 10 + 5 + 1 + 6 + TRAILER_LEN);
+        assert_eq!(enc.len(), SESSION_OFFSET + 10 + 5 + 1 + 6 + TRAILER_LEN);
         assert_eq!(Frame::decode(&enc), Ok(widest));
 
         // An x-packet whose payload field is exactly MAX_PAYLOAD bytes:
@@ -646,7 +649,7 @@ mod tests {
         };
         let enc = full.encode();
         assert_eq!(&enc[7..10], &[0x80, 0x80, 0x04], "len 65536 as a 3-byte varint");
-        assert_eq!(enc.len(), FIXED_LEN + 1 + 1 + 3 + MAX_PAYLOAD + TRAILER_LEN);
+        assert_eq!(enc.len(), SESSION_OFFSET + 1 + 1 + 3 + MAX_PAYLOAD + TRAILER_LEN);
         assert_eq!(Frame::decode(&enc), Ok(full));
         // One more byte of declared length is over the cap.
         let mut over = enc[..7].to_vec();

@@ -47,12 +47,12 @@
 //!   and terminal-state GC — thousands of concurrent sessions
 //!   multiplexed over one socket.
 //! * [`shard`] — multi-core serve: N worker threads, each its own
-//!   runtime + registry + `SO_REUSEPORT` socket on one shared address,
-//!   with session-id-hash dispatch and cross-shard frame forwarding
-//!   (the kernel steers by 4-tuple, so userspace re-dispatches).
+//!   runtime + registry + `SO_REUSEPORT` socket on one shared address;
+//!   a reuseport BPF program has the kernel deliver each datagram to
+//!   the shard that owns its session.
 //! * [`sys`] — the thin Linux FFI this rests on (epoll, eventfd,
-//!   `SO_REUSEPORT`); the only module allowed `unsafe`, with graceful
-//!   non-Linux fallbacks.
+//!   `SO_REUSEPORT` and its steering program); the only module allowed
+//!   `unsafe`, with graceful non-Linux fallbacks.
 //! * [`driver`] — the multi-session driver: a batch of concurrent
 //!   sessions, one coordinator node plus serve daemons, over any
 //!   transports, loopback UDP sockets or a simulated medium, with
@@ -113,8 +113,7 @@ pub use reliable::{backoff_delay, FlowBudget, RetransmitPolicy};
 pub use serve::{ServeHandle, ServeLimits, ServeStats, Server};
 pub use session::{AbortReason, NetError, SessionConfig, SessionOutcome, SessionTrace};
 pub use shard::{
-    bind_shard_sockets, run_sharded_serve, shard_group, shard_of, ShardReport, ShardTransport,
-    ShardedServeOptions,
+    bind_shard_sockets, run_sharded_serve, shard_of, ShardReport, ShardedServeOptions,
 };
 pub use telemetry::{Histogram, Snapshot, TraceEvent, TraceKind};
 pub use transport::{

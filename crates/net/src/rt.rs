@@ -23,10 +23,9 @@
 //! deadline — in `epoll_wait` when any I/O source has registered via
 //! [`register_fd_readable`] (a real reactor: a datagram's arrival ends
 //! the sleep immediately), in `thread::sleep` otherwise. On targets
-//! without epoll, or when the reactor is disabled
-//! ([`set_reactor_enabled`]), pollable-but-not-wakeable input falls
-//! back to the transport's adaptive re-poll timer ([`register_timer`]),
-//! bounding socket latency by the poll interval.
+//! without epoll, and under the virtual clock, pollable-but-not-wakeable
+//! input falls back to the transport's adaptive re-poll timer
+//! ([`register_timer`]), bounding socket latency by the poll interval.
 //!
 //! Swapping in tokio later only requires replacing this module and the
 //! socket wrapper in [`crate::udp`]; the protocol state machines are
@@ -35,11 +34,11 @@
 //! Still one runtime per thread, tasks are `!Send`-friendly (`Rc`
 //! everywhere), and nested [`block_on`] is not allowed. Wakers are
 //! `Send` per the `std::task` contract — they only touch a
-//! mutex-guarded ready queue — and since the sharded serve layer
-//! ([`crate::shard`]) wakes sibling runtimes across threads, a wake
-//! from another thread *does* interrupt this executor's sleep: the
-//! ready queue rings an `eventfd` doorbell registered in the epoll set
-//! whenever it enqueues work while the executor is parked.
+//! mutex-guarded ready queue — and a wake from another thread (such as
+//! the stop signal of a sharded daemon's worker, [`crate::shard`])
+//! *does* interrupt this executor's sleep: the ready queue rings an
+//! `eventfd` doorbell registered in the epoll set whenever it enqueues
+//! work while the executor is parked.
 
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -385,30 +384,10 @@ pub fn cancel_timer(id: TimerId) {
     });
 }
 
-thread_local! {
-    static REACTOR_ENABLED: Cell<bool> = const { Cell::new(true) };
-}
-
-/// Enables or disables the epoll reactor for runtimes on **this
-/// thread**. Disabling forces transports onto the adaptive re-poll
-/// timer bridge — the pre-reactor behavior — which the fallback-path
-/// tests and `THINAIR_NO_EPOLL=1` use. Takes effect for fds registered
-/// after the call; flip it before `block_on`.
-pub fn set_reactor_enabled(on: bool) {
-    REACTOR_ENABLED.with(|e| e.set(on));
-}
-
-/// Whether [`register_fd_readable`] may use the reactor on this thread
-/// (the per-thread switch AND no `THINAIR_NO_EPOLL=1` in the
-/// environment).
-pub fn reactor_enabled() -> bool {
-    REACTOR_ENABLED.with(|e| e.get()) && !std::env::var("THINAIR_NO_EPOLL").is_ok_and(|v| v == "1")
-}
-
 /// Registers one-shot read interest: `waker` fires when `fd` becomes
 /// readable. Returns `false` when no reactor is available (non-Linux,
-/// disabled via [`set_reactor_enabled`], or under a virtual clock) —
-/// the caller must then bridge with [`register_timer`] instead.
+/// or under a virtual clock) — the caller must then bridge with
+/// [`register_timer`] instead.
 ///
 /// The interest is level-triggered but the waker is consumed on
 /// delivery, so the owner re-registers on every `Poll::Pending` (the
@@ -418,7 +397,7 @@ pub fn register_fd_readable(fd: i32, waker: &Waker) -> bool {
     let ex = current();
     // Virtual time admits no real I/O: readiness would race the
     // deterministic schedule the explorer replays.
-    if ex.virtual_now.get().is_some() || !reactor_enabled() {
+    if ex.virtual_now.get().is_some() {
         return false;
     }
     let Some(reactor) = ex.reactor() else { return false };

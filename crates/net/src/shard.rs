@@ -1,4 +1,4 @@
-//! Multi-core sharded serve: session-id-hash dispatch across worker
+//! Multi-core sharded serve: kernel-steered dispatch across worker
 //! runtimes.
 //!
 //! One [`crate::serve::Server`] on one thread tops out on a single
@@ -11,23 +11,28 @@
 //!
 //! # Dispatch rule
 //!
-//! A session lives on shard [`shard_of`]`(session_id, workers)` —
-//! a splitmix64 hash, so consecutive ids spread uniformly. The rule is
-//! per-process: every shard of one daemon agrees, and nothing
-//! cross-node depends on it (each node shards its own traffic).
-//!
-//! The kernel's `SO_REUSEPORT` steering hashes the *4-tuple*, so every
-//! datagram from one peer socket lands on **one** of our sockets — the
-//! kernel cannot dispatch by session id. The receiving shard therefore
-//! decodes each frame and forwards the ones it does not own to the
-//! owning sibling's inbox, ringing the sibling's waker (which
-//! interrupts its `epoll_wait` via the runtime's eventfd doorbell).
-//! Every forwarded frame is accounted for: `net.shard.forwarded` equals
-//! `net.shard.injected` plus `net.shard.dropped`, the frames that met an
-//! inbox already closed by its shard's shutdown. Sends need no such hop:
-//! all shard sockets share the bound source address, so a frame sent
-//! from any shard passes the remote roster's source-address check
+//! A session lives on shard [`shard_of`]`(session_id, workers)`: the
+//! id's low seven bits modulo `workers`. The kernel applies the same
+//! rule: [`bind_shard_sockets`] attaches the classic BPF program
+//! `ld b[SESSION_OFFSET]; and #0x7f; mod #workers; ret a` to the socket
+//! group (`SO_ATTACH_REUSEPORT_CBPF`, socket(7)). Its load reads the
+//! first byte of the frame's `session` varint
+//! ([`crate::frame::SESSION_OFFSET`]), and its result indexes the
+//! sockets in bind order, which is shard order. So every datagram
+//! arrives on the socket of the shard that owns its session, each shard
+//! runs a plain [`UdpTransport`], and a frame's one dispatch point is
+//! its shard's receive loop. Sends need no coordination either: all
+//! shard sockets share the bound source address, so a frame sent from
+//! any shard passes the remote roster's source-address check
 //! identically.
+//!
+//! The kernel's numbering matches the shards' only while the whole
+//! group is bound, so [`run_sharded_serve`] keeps every socket open
+//! until all workers have stopped. A frame that arrives before the last
+//! socket binds can land on a sibling: a frame of a session the sibling
+//! does not hold counts there in `demux.orphans`, and a `Start` opens
+//! its session there, where it misses its later frames and aborts at
+//! its deadline. Start a daemon before its coordinators.
 //!
 //! # Per-shard state & admission alignment
 //!
@@ -40,258 +45,61 @@
 //! every daemon sees the same Start sub-stream in near-identical order
 //! and re-admits in the same order.
 
-use std::collections::VecDeque;
 use std::future::Future;
 use std::io;
 use std::net::SocketAddr;
 use std::pin::Pin;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
-use crate::frame::Frame;
+use crate::frame::SESSION_OFFSET;
 use crate::rt;
 use crate::serve::{ServeLimits, ServeStats, Server};
 use crate::session::{SessionConfig, SessionOutcome};
-use crate::transport::{SharedTransport, Transport, UdpTransport};
+use crate::sys;
+use crate::transport::{SharedTransport, UdpTransport};
 use crate::udp::AsyncUdpSocket;
 
-/// Maps a session id to its owning worker shard. Deterministic per
-/// process — every shard of one daemon agrees, which is all the
-/// dispatch rule needs (no cross-node agreement is required: each node
-/// shards its own traffic independently).
+/// The session-id bits that pick a shard: the low seven, all that the
+/// `session` varint's first byte, at [`SESSION_OFFSET`], holds. So at
+/// most 128 shards.
+const STEER_MASK: u64 = 0x7f;
+
+/// Maps a session id to its owning worker shard: the id's low seven bits
+/// modulo `workers`, the rule the kernel applies to the sockets of
+/// [`bind_shard_sockets`]. Sibling daemons run the same rule.
 pub fn shard_of(session: u64, workers: usize) -> usize {
     debug_assert!(workers > 0);
-    // splitmix64 finalizer: full-avalanche, so consecutive session ids
-    // spread uniformly across shards.
-    let mut z = session.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z = z ^ (z >> 31);
-    (z % workers as u64) as usize
+    (session & STEER_MASK) as usize % workers
 }
 
-/// A shard's cross-shard inbox: frames its siblings forwarded to it,
-/// and the waker that interrupts its executor (the wake crosses threads
-/// — the target's ready queue is mutex-guarded and rings its eventfd
-/// doorbell if the target executor is parked in `epoll_wait`).
-///
-/// Every forwarded frame ends in exactly one of `net.shard.injected`
-/// (the owner took it) or `net.shard.dropped` (it reached the inbox after
-/// the owner closed it, or was still queued when the owner closed it), so
-/// `forwarded == injected + dropped` holds exactly once every shard has
-/// stopped.
-#[derive(Default)]
-struct Inbox {
-    frames: VecDeque<Frame>,
-    waker: Option<Waker>,
-    closed: bool,
-}
-
-type SharedInbox = Arc<Mutex<Inbox>>;
-
-/// Every update leaves an inbox consistent, so a lock poisoned by a
-/// panicking holder is still safe to use.
-fn lock(inbox: &SharedInbox) -> MutexGuard<'_, Inbox> {
-    inbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Hands `frame` to a sibling's inbox and wakes it. A closed inbox means
-/// the sibling already shut down; the frame is indistinguishable from
-/// one lost on the wire, which the protocol absorbs, and is counted.
-fn push(inbox: &SharedInbox, frame: Frame) {
-    let mut q = lock(inbox);
-    if q.closed {
-        drop(q);
-        crate::telemetry::counter_add("net.shard.dropped", 1);
-        return;
-    }
-    q.frames.push_back(frame);
-    let waker = q.waker.clone();
-    drop(q);
-    if let Some(w) = waker {
-        w.wake();
-    }
-}
-
-/// One shard's transport: a `SO_REUSEPORT` UDP socket plus the
-/// cross-shard frame-forwarding fabric. Frames for sessions this shard
-/// does not own are handed to the owning sibling; frames injected by
-/// siblings surface here ahead of the socket.
-pub struct ShardTransport {
-    udp: UdpTransport,
-    shard: usize,
-    workers: usize,
-    /// Our own inbox; its waker is registered on every empty poll so
-    /// siblings can interrupt our executor.
-    inbox: SharedInbox,
-    /// Siblings' inboxes indexed by shard (`None` at our own index).
-    siblings: Vec<Option<SharedInbox>>,
-    /// Frames received on our socket but owned (and handed to) another
-    /// shard.
-    forwarded: u64,
-    /// Frames a sibling handed to us.
-    injected: u64,
-}
-
-impl ShardTransport {
-    /// This transport's shard index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
-    /// Number of shards in the group.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// The bound local address (all shards in a group share it).
-    pub fn local_addr(&self) -> io::Result<SocketAddr> {
-        self.udp.local_addr()
-    }
-
-    /// Frames received here but owned by (and forwarded to) a sibling.
-    pub fn forwarded(&self) -> u64 {
-        self.forwarded
-    }
-
-    /// Frames a sibling forwarded to us.
-    pub fn injected(&self) -> u64 {
-        self.injected
-    }
-
-    /// Closes this shard's inbox: frames still queued in it, and any a
-    /// sibling forwards later, are counted as `net.shard.dropped`. A
-    /// worker closes it before snapshotting its telemetry; dropping the
-    /// transport closes it too.
-    pub fn close(&self) {
-        let mut inbox = lock(&self.inbox);
-        inbox.closed = true;
-        inbox.waker = None;
-        let left = std::mem::take(&mut inbox.frames).len() as u64;
-        drop(inbox);
-        if left > 0 {
-            crate::telemetry::counter_add("net.shard.dropped", left);
-        }
-    }
-
-    /// The next sibling-injected frame; with none queued, registers our
-    /// waker under the same lock, so a racing injection finds it.
-    fn take_injected(&self, cx: &Context<'_>) -> Option<Frame> {
-        let mut inbox = lock(&self.inbox);
-        let frame = inbox.frames.pop_front();
-        if frame.is_none() {
-            match &inbox.waker {
-                Some(w) if w.will_wake(cx.waker()) => {}
-                _ => inbox.waker = Some(cx.waker().clone()),
-            }
-        }
-        frame
-    }
-}
-
-impl Drop for ShardTransport {
-    fn drop(&mut self) {
-        self.close();
-    }
-}
-
-impl Transport for ShardTransport {
-    fn local_node(&self) -> u8 {
-        self.udp.local_node()
-    }
-
-    fn node_count(&self) -> usize {
-        self.udp.node_count()
-    }
-
-    fn send_to(&mut self, to: u8, frame: &Frame) -> io::Result<()> {
-        self.udp.send_to(to, frame)
-    }
-
-    fn broadcast(&mut self, frame: &Frame) -> io::Result<()> {
-        self.udp.broadcast(frame)
-    }
-
-    fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<io::Result<Frame>> {
-        loop {
-            // Sibling-injected frames first: they were already decoded,
-            // validated, and waited once on another shard's queue.
-            if let Some(frame) = self.take_injected(cx) {
-                self.injected += 1;
-                crate::telemetry::counter_add("net.shard.injected", 1);
-                return Poll::Ready(Ok(frame));
-            }
-            match self.udp.poll_recv(cx) {
-                Poll::Ready(Ok(frame)) => {
-                    let owner = shard_of(frame.session, self.workers);
-                    if owner == self.shard {
-                        return Poll::Ready(Ok(frame));
-                    }
-                    self.forwarded += 1;
-                    crate::telemetry::counter_add("net.shard.forwarded", 1);
-                    if let Some(sib) = &self.siblings[owner] {
-                        push(sib, frame);
-                    }
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn invalid_frames(&self) -> u64 {
-        self.udp.invalid_frames()
-    }
-
-    fn send_errors(&self) -> u64 {
-        self.udp.send_errors()
-    }
-}
-
-/// Binds `workers` sockets sharing one address via `SO_REUSEPORT`.
-/// With `bind` on port 0 the OS picks the port once (from the first
-/// socket) and the rest join it. A single worker binds one plain
-/// socket — no kernel port sharing, no forwarding fabric needed.
+/// Binds `workers` sockets sharing one address via `SO_REUSEPORT`, and
+/// has the kernel deliver each datagram to socket [`shard_of`]`(session,
+/// workers)`. With `bind` on port 0 the OS picks the port once (from the
+/// first socket) and the rest join it. A single worker binds one plain
+/// socket. Fails beyond 128 workers, or where the kernel refuses the
+/// steering program.
 pub fn bind_shard_sockets(bind: SocketAddr, workers: usize) -> io::Result<Vec<AsyncUdpSocket>> {
     assert!(workers > 0, "at least one shard");
     if workers == 1 {
         return Ok(vec![AsyncUdpSocket::bind(bind)?]);
     }
+    if workers > STEER_MASK as usize + 1 {
+        let msg = "at most 128 workers: 7 session-id bits pick the shard";
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, msg));
+    }
     let first = AsyncUdpSocket::bind_reuseport(bind)?;
+    // Sockets are numbered in bind order: steer before any other joins.
+    let (offset, mask) = (SESSION_OFFSET as u32, STEER_MASK as u32);
+    sys::steer_reuseport(first.raw_fd(), offset, mask, workers as u32)?;
     let addr = first.local_addr()?;
     let mut sockets = vec![first];
     for _ in 1..workers {
         sockets.push(AsyncUdpSocket::bind_reuseport(addr)?);
     }
     Ok(sockets)
-}
-
-/// Wires `sockets` (one per shard, typically from
-/// [`bind_shard_sockets`]) into a group of [`ShardTransport`]s with
-/// the cross-shard forwarding fabric between them. Each transport is
-/// `Send` — move it to its worker thread and run a
-/// [`crate::serve::Server`] (or any other role) over it.
-pub fn shard_group(
-    sockets: Vec<AsyncUdpSocket>,
-    peers: Vec<SocketAddr>,
-    node: u8,
-) -> Vec<ShardTransport> {
-    let workers = sockets.len();
-    let inboxes: Vec<SharedInbox> = (0..workers).map(|_| SharedInbox::default()).collect();
-    sockets
-        .into_iter()
-        .enumerate()
-        .map(|(i, sock)| ShardTransport {
-            udp: UdpTransport::new(sock, peers.clone(), node),
-            shard: i,
-            workers,
-            inbox: inboxes[i].clone(),
-            siblings: (0..workers).map(|j| (j != i).then(|| inboxes[j].clone())).collect(),
-            forwarded: 0,
-            injected: 0,
-        })
-        .collect()
 }
 
 /// What one shard worker did over its lifetime (returned by
@@ -307,9 +115,7 @@ pub struct ShardReport {
     /// Outcomes of sessions served on this shard (empty unless
     /// `collect_outcomes`).
     pub outcomes: Vec<SessionOutcome>,
-    /// The worker thread's telemetry registry at exit (includes
-    /// `net.shard.forwarded` / `net.shard.injected` /
-    /// `net.shard.dropped`).
+    /// The worker thread's telemetry registry at exit.
     pub snapshot: crate::telemetry::Snapshot,
     /// The worker runtime's executor counters at exit.
     pub rt_metrics: rt::Metrics,
@@ -390,16 +196,21 @@ pub fn run_sharded_serve(
         max_sessions: opts.limits.max_sessions.div_ceil(workers).max(1),
         ..opts.limits
     };
-    let transports = shard_group(sockets, peers, node);
+    // Closing a socket renumbers the group, which would steer the other
+    // shards' frames to the wrong sockets: keep each one open until every
+    // worker has stopped.
+    let _group = sockets.iter().map(AsyncUdpSocket::try_clone).collect::<io::Result<Vec<_>>>()?;
     let wakes: Vec<Arc<Mutex<Option<Waker>>>> = (0..workers).map(|_| Arc::default()).collect();
     let mut reports: Vec<io::Result<ShardReport>> = std::thread::scope(|s| {
-        let handles: Vec<_> = transports
+        let handles: Vec<_> = sockets
             .into_iter()
             .zip(&wakes)
-            .map(|(t, wake)| {
+            .enumerate()
+            .map(|(shard, (sock, wake))| {
+                let t = UdpTransport::new(sock, peers.clone(), node);
                 let signal = StopSignal { flag: stop.clone(), wake: wake.clone() };
                 let opts = opts.clone();
-                s.spawn(move || shard_worker(t, opts, per_shard, signal))
+                s.spawn(move || shard_worker(shard, t, opts, per_shard, signal))
             })
             .collect();
         while !stop.load(Ordering::Acquire) && !handles.iter().all(|h| h.is_finished()) {
@@ -428,12 +239,12 @@ pub fn run_sharded_serve(
 
 /// One worker: its own executor, reactor, registry, flow budget.
 fn shard_worker(
-    t: ShardTransport,
+    shard: usize,
+    t: UdpTransport,
     opts: ShardedServeOptions,
     limits: ServeLimits,
     stop: StopSignal,
 ) -> io::Result<ShardReport> {
-    let shard = t.shard();
     crate::telemetry::set_timing(opts.timing);
     rt::block_on(async move {
         let shared = SharedTransport::new(t);
@@ -461,9 +272,6 @@ fn shard_worker(
             }
         }
         let stats = run.await?;
-        // Frames a sibling forwarded here after the server stopped are
-        // counted before the snapshot, here or on the sibling.
-        tap.with(ShardTransport::close);
         Ok(ShardReport {
             shard,
             stats,
@@ -513,32 +321,41 @@ mod tests {
         }
     }
 
-    /// A forwarded frame that a stopped shard never takes is counted,
-    /// whether it was still queued when the shard closed its inbox or
-    /// was forwarded after.
+    /// The kernel, not the 4-tuple hash, picks the socket: frames for
+    /// seven sessions, all from one source socket, each land on the
+    /// socket of the shard [`shard_of`] names, which spans all three.
     #[test]
-    fn frames_meeting_a_closed_inbox_count_as_dropped() {
+    fn the_kernel_steers_each_frame_to_its_sessions_shard() {
+        use crate::frame::{Frame, NetPayload};
+        const WORKERS: usize = 3;
         let sockets =
-            bind_shard_sockets("127.0.0.1:0".parse().expect("addr"), 2).expect("bind group");
-        let roster = vec![sockets[0].local_addr().expect("addr"); 2];
-        let group = shard_group(sockets, roster, 1);
-        let to_second = group[0].siblings[1].as_ref().expect("sibling inbox");
-        let fin = Frame {
-            flags: 0,
-            sender: 0,
-            session: 7,
-            seq: 1,
-            payload: crate::frame::NetPayload::Fin,
-        };
-        let dropped =
-            || crate::telemetry::snapshot().counters.get("net.shard.dropped").copied().unwrap_or(0);
-        let before = dropped();
-        push(to_second, fin.clone());
-        assert_eq!(dropped(), before, "an open inbox queues the frame");
-        group[1].close();
-        assert_eq!(dropped(), before + 1, "the queued frame counts at close");
-        push(to_second, fin);
-        assert_eq!(dropped(), before + 2, "a frame forwarded after close counts");
-        assert!(lock(to_second).frames.is_empty());
+            bind_shard_sockets("127.0.0.1:0".parse().expect("addr"), WORKERS).expect("bind group");
+        let to = sockets[0].local_addr().expect("addr");
+        let sender = std::net::UdpSocket::bind("127.0.0.1:0").expect("bind sender");
+        let sessions = [1, 2, 3, 127, 128, 300, 1 << 40];
+        for &session in &sessions {
+            let frame = Frame { flags: 0, sender: 0, session, seq: 1, payload: NetPayload::Fin };
+            sender.send_to(&frame.encode(), to).expect("send");
+        }
+        let mut landed = Vec::new();
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        let mut buf = [0u8; 64];
+        while landed.len() < sessions.len() {
+            assert!(std::time::Instant::now() < deadline, "only {landed:?} arrived");
+            for (shard, sock) in sockets.iter().enumerate() {
+                while let Some((n, _)) = sock.try_recv_from(&mut buf).expect("recv") {
+                    let frame = Frame::decode(&buf[..n]).expect("valid frame");
+                    landed.push((frame.session, shard));
+                }
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        landed.sort_unstable();
+        let want: Vec<_> = sessions.iter().map(|&s| (s, shard_of(s, WORKERS))).collect();
+        assert_eq!(landed, want);
+        // A group larger than the seven-bit key can address is refused.
+        let any = "127.0.0.1:0".parse().expect("addr");
+        let err = bind_shard_sockets(any, 129).expect_err("129 workers");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 }

@@ -10,16 +10,18 @@
 //!   datagram actually arrives instead of re-polling sockets on a
 //!   100 µs–1 ms timer.
 //! * [`EventFd`] — a kernel event counter registered in the epoll set so
-//!   *other threads* can interrupt the executor's sleep (the cross-shard
-//!   frame-injection path in [`crate::shard`] needs this).
+//!   *other threads* can interrupt the executor's sleep (a sharded
+//!   worker's stop signal in [`crate::shard`] needs this).
 //! * [`bind_reuseport`] — a UDP socket bound with `SO_REUSEPORT`, so N
-//!   worker shards can share one daemon address.
+//!   worker shards can share one daemon address, and [`steer_reuseport`],
+//!   which has the kernel pick each datagram's socket in that group.
 //!
 //! The bindings are declarations of the libc symbols every Rust binary
 //! already links; no new dependency is introduced. On non-Linux targets
 //! the same API exists but [`Epoll::new`] / [`EventFd::new`] report
-//! `Unsupported` (callers fall back to the timer bridge) and
-//! [`bind_reuseport`] degrades to a plain bind.
+//! `Unsupported` (callers fall back to the timer bridge),
+//! [`bind_reuseport`] degrades to a plain bind and [`steer_reuseport`]
+//! reports `Unsupported`.
 
 #![allow(unsafe_code)]
 
@@ -30,6 +32,7 @@ use std::time::Duration;
 #[cfg(target_os = "linux")]
 mod imp {
     use super::*;
+    use std::ffi::c_void;
     use std::net::SocketAddr;
     use std::os::fd::{AsRawFd, FromRawFd, RawFd};
 
@@ -46,6 +49,7 @@ mod imp {
     const SOCK_CLOEXEC: i32 = 0o2000000;
     const SOL_SOCKET: i32 = 1;
     const SO_REUSEPORT: i32 = 15;
+    const SO_ATTACH_REUSEPORT_CBPF: i32 = 51;
     const EINTR: i32 = 4;
     const EAGAIN: i32 = 11;
 
@@ -57,6 +61,22 @@ mod imp {
     struct EpollEvent {
         events: u32,
         data: u64,
+    }
+
+    /// `struct sock_filter`: one classic BPF instruction.
+    #[repr(C)]
+    struct SockFilter {
+        code: u16,
+        jt: u8,
+        jf: u8,
+        k: u32,
+    }
+
+    /// `struct sock_fprog`: a classic BPF program.
+    #[repr(C)]
+    struct SockFprog {
+        len: u16,
+        filter: *const SockFilter,
     }
 
     /// `struct sockaddr_in` (16 bytes).
@@ -77,7 +97,8 @@ mod imp {
         fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
         fn write(fd: i32, buf: *const u8, count: usize) -> isize;
         fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const i32, optlen: u32) -> i32;
+        fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const c_void, optlen: u32)
+            -> i32;
         fn bind(fd: i32, addr: *const SockAddrIn, addrlen: u32) -> i32;
     }
 
@@ -242,8 +263,10 @@ mod imp {
         // SAFETY: `fd` is a fresh, owned datagram socket.
         let sock = unsafe { UdpSocket::from_raw_fd(fd) };
         let on: i32 = 1;
+        let on_ptr: *const i32 = &on;
         // SAFETY: passes a 4-byte option value the kernel copies.
-        let rc = unsafe { setsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_REUSEPORT, &on, 4) };
+        let rc =
+            unsafe { setsockopt(sock.as_raw_fd(), SOL_SOCKET, SO_REUSEPORT, on_ptr.cast(), 4) };
         if rc < 0 {
             return Err(io::Error::last_os_error());
         }
@@ -260,6 +283,28 @@ mod imp {
             return Err(io::Error::last_os_error());
         }
         Ok(sock)
+    }
+
+    /// Attaches `ld b[offset]; and #mask; mod #modulus; ret a` to the
+    /// `SO_REUSEPORT` group of the bound socket `fd`
+    /// (`SO_ATTACH_REUSEPORT_CBPF`, socket(7)): each datagram goes to the
+    /// socket with that index, computed from its UDP payload. Sockets are
+    /// numbered in bind order, closing one moves the last into its slot,
+    /// and an index out of range falls back to the 4-tuple hash.
+    pub fn steer_reuseport(fd: RawFd, offset: u32, mask: u32, modulus: u32) -> io::Result<()> {
+        let insn = |code, k| SockFilter { code, jt: 0, jf: 0, k };
+        // BPF_LD|BPF_B|BPF_ABS, BPF_ALU|BPF_AND|BPF_K, BPF_ALU|BPF_MOD|BPF_K, BPF_RET|BPF_A
+        let program = [insn(0x30, offset), insn(0x54, mask), insn(0x94, modulus), insn(0x16, 0)];
+        let fprog = SockFprog { len: program.len() as u16, filter: program.as_ptr() };
+        let fprog_ptr: *const SockFprog = &fprog;
+        let (opt, size) = (SO_ATTACH_REUSEPORT_CBPF, size_of::<SockFprog>() as u32);
+        // SAFETY: `fprog` and the `program` it points at live across the
+        // call; the kernel copies and validates the program before it returns.
+        let rc = unsafe { setsockopt(fd, SOL_SOCKET, opt, fprog_ptr.cast(), size) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
     }
 
     // EAGAIN is referenced for documentation symmetry with drain().
@@ -327,9 +372,14 @@ mod imp {
     pub fn bind_reuseport(addr: SocketAddr) -> io::Result<UdpSocket> {
         UdpSocket::bind(addr)
     }
+
+    /// Off Linux: no socket group to steer.
+    pub fn steer_reuseport(_fd: i32, _offset: u32, _mask: u32, _modulus: u32) -> io::Result<()> {
+        Err(io::Error::new(io::ErrorKind::Unsupported, "reuseport steering is Linux-only"))
+    }
 }
 
-pub use imp::{bind_reuseport, Epoll, EventFd};
+pub use imp::{bind_reuseport, steer_reuseport, Epoll, EventFd};
 
 #[cfg(all(test, target_os = "linux"))]
 mod tests {

@@ -411,7 +411,7 @@ impl Transport for UdpTransport {
                     if rt::register_fd_readable(self.socket.raw_fd(), cx.waker()) {
                         return Poll::Pending;
                     }
-                    // No reactor (non-Linux, disabled, virtual clock):
+                    // No reactor (non-Linux, virtual clock):
                     // bridge socket readiness with a re-poll timer,
                     // backing off while the socket stays quiet. Arm only
                     // when no armed timer is still pending, so spurious

@@ -27,6 +27,12 @@ impl AsyncUdpSocket {
         Ok(AsyncUdpSocket { inner })
     }
 
+    /// A second handle on the same socket (`dup`): the socket stays
+    /// bound, and in its `SO_REUSEPORT` group, until every handle drops.
+    pub fn try_clone(&self) -> io::Result<Self> {
+        Ok(AsyncUdpSocket { inner: self.inner.try_clone()? })
+    }
+
     /// The raw fd, for reactor registration
     /// ([`crate::rt::register_fd_readable`]).
     #[cfg(unix)]

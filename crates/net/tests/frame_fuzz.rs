@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use thinair_core::wire::{Message, SparseRow};
-use thinair_net::frame::{crc32, Frame, NetPayload, FLAG_RELIABLE};
+use thinair_net::frame::{crc32, Frame, NetPayload, FLAG_RELIABLE, SESSION_OFFSET};
 
 /// A reception report whose bitmap length matches `n_packets` (the wire
 /// format derives the byte count from the packet count).
@@ -98,7 +98,7 @@ fn leb128(mut v: u64, pad: usize) -> Vec<u8> {
 /// Splits a canonical encoding into its payload bytes: skips the fixed
 /// fields and the `session`, `seq` and `len` varints, drops the CRC.
 fn payload_bytes(enc: &[u8]) -> &[u8] {
-    let mut at = 5;
+    let mut at = SESSION_OFFSET;
     for _ in 0..3 {
         while enc[at] & 0x80 != 0 {
             at += 1;
@@ -225,6 +225,18 @@ proptest! {
     // random edits: run many more cases than the default.
     #![proptest_config(ProptestConfig::with_cases(4096))]
 
+    /// The byte at [`SESSION_OFFSET`] carries the session id's low seven
+    /// bits under every payload kind: it is what a sharded daemon's
+    /// kernel steering program reads, so a codec change that moves the
+    /// id fails here instead of silently mis-steering frames.
+    #[test]
+    fn session_low_bits_sit_at_the_steering_offset(frame in arb_frame()) {
+        for session in [0, 1, 127, 128, 16_383, 16_384, 1 << 40, u64::MAX] {
+            let enc = Frame { session, ..frame.clone() }.encode();
+            prop_assert_eq!(u64::from(enc[SESSION_OFFSET] & 0x7f), session & 0x7f);
+        }
+    }
+
     /// Canonical decoding: any datagram the codec accepts re-encodes to
     /// exactly its own bytes, so no two datagrams decode to one frame.
     /// The inputs are valid frames with up to two bytes changed and the
@@ -260,7 +272,7 @@ proptest! {
         let enc = frame.encode();
         let mut payload = payload_bytes(&enc).to_vec();
         payload.extend_from_slice(&junk);
-        let mut body = enc[..5].to_vec();
+        let mut body = enc[..SESSION_OFFSET].to_vec();
         body.extend(leb128(frame.session, pads.0));
         body.extend(leb128(frame.seq.into(), pads.1));
         body.extend(leb128(payload.len() as u64, pads.2));

@@ -194,8 +194,8 @@ fn late_fin_is_reacked_by_a_serve_daemon() {
     }
 }
 
-/// A 2-worker sharded daemon: frames reach the owner shard's receive
-/// loop across the fabric, and its TIME_WAIT window answers them.
+/// A 2-worker sharded daemon: the kernel delivers late frames to the
+/// owner shard's receive loop, and its TIME_WAIT window answers them.
 #[test]
 fn late_fin_is_reacked_by_a_sharded_daemon() {
     const SESSIONS: u64 = 8;

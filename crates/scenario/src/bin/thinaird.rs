@@ -130,9 +130,10 @@ OPTIONS:
     --deadline-ms <MS> session deadline                           [default: 30000]
     --estimator <E>    leave-one-out | fraction:<F>               [default: leave-one-out]
     --max-sessions <N> serve: admission cap on concurrent sessions [default: 8192]
-    --workers <N>      serve: shard the daemon across N worker threads, each
-                       its own runtime + epoll reactor + SO_REUSEPORT socket
-                       + session registry, dispatching by session-id hash
+    --workers <N>      serve: shard the daemon across N (at most 128) worker
+                       threads, each its own runtime + epoll reactor +
+                       SO_REUSEPORT socket + session registry; the kernel
+                       steers each datagram to its session's shard
                        (--max-sessions splits across shards)    [default: 1]
                        bench-serve: force the workers axis of every
                        UDP-loopback wave
@@ -578,9 +579,9 @@ async fn report_outcomes(
 
 /// `serve --workers N`: the daemon sharded across N worker threads —
 /// one `SO_REUSEPORT` socket, executor (epoll reactor), registry and
-/// flow budget per worker, with session-id-hash dispatch and
-/// cross-shard frame forwarding. Blocks until `--run-for-ms` elapses
-/// (or forever, until killed).
+/// flow budget per worker, the kernel steering each datagram to its
+/// session's shard. Blocks until `--run-for-ms` elapses (or forever,
+/// until killed).
 fn run_serve_sharded(
     o: &Options,
     node: u8,
@@ -632,20 +633,7 @@ fn run_serve_sharded(
         seed: o.seed,
         limits,
         collect_outcomes: false,
-        on_outcome: Some(Arc::new(|shard, out| match &out.abort {
-            Some(reason) => println!(
-                "session {:#x} node {} shard {shard} ABORTED: {reason}",
-                out.session, out.node
-            ),
-            None => println!(
-                "session {:#x} node {} shard {shard} L={} M={} key {}",
-                out.session,
-                out.node,
-                out.l,
-                out.m,
-                key_hex(out)
-            ),
-        })),
+        on_outcome: Some(Arc::new(|_, out| print_outcome(out))),
         timing: o.stats_every_ms.is_some(),
     };
     let reports = run_sharded_serve(sockets, o.peers.clone(), node, opts, stop)

@@ -36,14 +36,13 @@ use std::time::{Duration, Instant};
 use thinair_core::round::XSchedule;
 use thinair_net::driver::task_seed;
 use thinair_net::rt;
-use thinair_net::shard::ShardTransport;
 use thinair_net::telemetry;
 use thinair_net::transport::{SimNet, UdpTransport};
 use thinair_net::udp::AsyncUdpSocket;
 use thinair_net::{
-    bind_shard_sockets, run_sharded_serve, shard_group, shard_of, Histogram, NetError, Node,
-    ServeLimits, ServeStats, Server, SessionConfig, SessionOutcome, ShardedServeOptions,
-    SharedTransport, Snapshot, Transport,
+    bind_shard_sockets, run_sharded_serve, shard_of, Histogram, NetError, Node, ServeLimits,
+    ServeStats, Server, SessionConfig, SessionOutcome, ShardedServeOptions, SharedTransport,
+    Snapshot, Transport,
 };
 use thinair_netsim::{DelaySpec, FaultPlan, IidMedium};
 
@@ -107,11 +106,11 @@ pub struct ServeWaveSpec {
     pub max_sessions: Option<u32>,
     /// Worker runtimes per node. `1` runs the classic single-runtime
     /// wave (coordinator and daemons co-scheduled on one executor);
-    /// `> 1` shards **every** node across that many worker threads —
-    /// each with its own executor, epoll reactor and `SO_REUSEPORT`
-    /// socket — with session-id-hash dispatch and cross-shard frame
-    /// forwarding ([`thinair_net::shard`]). UDP-loopback only: the
-    /// simulator has no kernel to steer packets.
+    /// `> 1` (at most 128) shards **every** node across that many
+    /// worker threads — each with its own executor, epoll reactor and
+    /// `SO_REUSEPORT` socket — and the kernel delivers each datagram to
+    /// the shard that owns its session ([`thinair_net::shard`]).
+    /// UDP-loopback only: the simulator has no kernel to steer packets.
     pub workers: usize,
     /// Root seed (payloads, plans, erasures, faults).
     pub seed: u64,
@@ -194,6 +193,8 @@ pub struct ServeWaveResult {
     /// 99.9th-percentile session latency, ms (same 6.25 % bucket
     /// bound).
     pub latency_ms_p999: f64,
+    /// Slowest session's latency, ms: the histogram's exact max.
+    pub latency_ms_max: f64,
     /// Abort-reason kind → sessions affected (a session counts once
     /// per distinct kind among its aborting nodes, so the sum can
     /// exceed `aborted` when a session aborts for mixed reasons).
@@ -218,15 +219,6 @@ pub struct ServeWaveResult {
     /// `naive_polls − task_polls`: the measured win of waker-based
     /// readiness.
     pub polls_saved: u64,
-    /// Frames that arrived on a shard socket but belonged to a sibling
-    /// (kernel 4-tuple steering vs session-hash dispatch); 0 on
-    /// single-worker waves.
-    pub forwarded: u64,
-    /// Frames surfaced from the cross-shard injection queues.
-    pub injected: u64,
-    /// Forwarded frames that met an inbox its shard had already closed
-    /// at shutdown; `forwarded == injected + dropped` exactly.
-    pub dropped: u64,
     /// Fd-readability wakeups delivered by the epoll reactors, all
     /// runtimes (timing). Zero on the sim backend / non-Linux hosts.
     pub epoll_wakeups: u64,
@@ -234,6 +226,12 @@ pub struct ServeWaveResult {
     /// timer. 0 on every epoll-path wave: the reactor makes the
     /// busy-poll bridge unnecessary.
     pub repoll_arms: u64,
+    /// Datagrams the kernel dropped at a full socket receive buffer
+    /// during the wave: the delta of `/proc/net/snmp`'s `Udp
+    /// RcvbufErrors`, which counts the whole host, not just this wave's
+    /// sockets. The only place a shard loses frames besides the wire.
+    /// `None` off Linux.
+    pub udp_rcvbuf_errors: Option<u64>,
 }
 
 impl ServeWaveResult {
@@ -256,9 +254,26 @@ impl ServeWaveResult {
 /// sockets.
 pub fn run_serve_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioError> {
     spec.validate().map_err(ScenarioError::Invalid)?;
-    if spec.workers > 1 {
-        return run_sharded_wave(spec);
-    }
+    let rcvbuf_before = udp_rcvbuf_errors();
+    let mut r = if spec.workers > 1 { run_sharded_wave(spec)? } else { run_single_wave(spec)? };
+    r.udp_rcvbuf_errors = udp_rcvbuf_errors().zip(rcvbuf_before).map(|(a, b)| a.saturating_sub(b));
+    Ok(r)
+}
+
+/// The host's `Udp RcvbufErrors` count from `/proc/net/snmp`: datagrams
+/// the kernel dropped because a socket's receive buffer was full.
+/// `None` where the file does not exist (off Linux).
+fn udp_rcvbuf_errors() -> Option<u64> {
+    let snmp = std::fs::read_to_string("/proc/net/snmp").ok()?;
+    let mut udp = snmp.lines().filter(|l| l.starts_with("Udp:"));
+    let (names, values) = (udp.next()?, udp.next()?);
+    let at = names.split_whitespace().position(|n| n == "RcvbufErrors")?;
+    values.split_whitespace().nth(at)?.parse().ok()
+}
+
+/// The single-runtime wave: coordinator and daemons co-scheduled on
+/// this thread's executor.
+fn run_single_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioError> {
     // The wave owns the driving thread's telemetry: reset at the start
     // so the snapshot taken after the wave is a pure per-wave interval
     // (waves on other threads are independent — the registry is
@@ -392,17 +407,16 @@ pub fn run_serve_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioE
         latency_ms_p90: lat_us.percentile(0.90) as f64 / 1e3,
         latency_ms_p99: lat_us.percentile(0.99) as f64 / 1e3,
         latency_ms_p999: lat_us.percentile(0.999) as f64 / 1e3,
+        latency_ms_max: lat_us.max() as f64 / 1e3,
         abort_reasons,
         repoll_arms: wave_telemetry.counters.get("net.udp.repoll_arms").copied().unwrap_or(0),
+        udp_rcvbuf_errors: None,
         telemetry: wave_telemetry,
         task_polls: metrics.task_polls,
         executor_passes: metrics.passes,
         peak_tasks: metrics.max_tasks,
         naive_polls,
         polls_saved: naive_polls.saturating_sub(metrics.task_polls),
-        forwarded: 0,
-        injected: 0,
-        dropped: 0,
         epoll_wakeups: metrics.epoll_wakeups,
     })
 }
@@ -474,19 +488,20 @@ struct CoordShard {
     send_errors: u64,
 }
 
-/// One coordinator worker: drives the wave's sessions whose ids hash
-/// to its shard, on its own runtime over its own `SO_REUSEPORT`
-/// socket. Sessions *must* be partitioned by [`shard_of`] — replies
-/// the kernel steers to a sibling socket are forwarded to the shard
-/// the hash names, which has to be the one running the session.
+/// One coordinator worker: drives the wave's sessions that map to its
+/// shard, on its own runtime over its own `SO_REUSEPORT` socket.
+/// Sessions *must* be partitioned by [`shard_of`] — the kernel delivers
+/// each reply to the socket the rule names, which has to be the shard
+/// running the session.
 fn coordinator_shard(
-    t: ShardTransport,
+    shard: usize,
+    workers: usize,
+    t: UdpTransport,
     cfg: SessionConfig,
     concurrency: u32,
     seed: u64,
 ) -> Result<CoordShard, ScenarioError> {
     telemetry::set_timing(true);
-    let (shard, workers) = (t.shard(), t.workers());
     rt::block_on(async move {
         let shared = SharedTransport::new(t);
         let tap = shared.clone();
@@ -518,7 +533,6 @@ fn coordinator_shard(
             lat_us.record(dt.as_micros() as u64);
             outs.push(out);
         }
-        tap.with(ShardTransport::close);
         Ok(CoordShard {
             outs,
             lat_us,
@@ -531,10 +545,10 @@ fn coordinator_shard(
 
 /// The multi-worker wave: every node — coordinator included — sharded
 /// across `spec.workers` threads, each with its own executor + epoll
-/// reactor + `SO_REUSEPORT` socket, cross-shard traffic re-dispatched
-/// in userspace by session-id hash. Daemon nodes run
-/// [`run_sharded_serve`]; the coordinator's sessions are partitioned
-/// over its shards by the same hash. Per-runtime counters (latency
+/// reactor + `SO_REUSEPORT` socket, the kernel steering each datagram
+/// to its session's shard. Daemon nodes run [`run_sharded_serve`]; the
+/// coordinator's sessions are partitioned over its shards by the same
+/// rule ([`shard_of`]). Per-runtime counters (latency
 /// histograms, telemetry snapshots, executor metrics, serve stats) are
 /// merged after every thread joins.
 fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioError> {
@@ -571,6 +585,11 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
     let stop = Arc::new(AtomicBool::new(false));
     let started = Instant::now();
 
+    // A coordinator shard that finishes first must not close its socket:
+    // that renumbers the group, and the kernel would steer the other
+    // shards' replies to the wrong sockets. Hold them all to the end.
+    let coord_group: io::Result<Vec<_>> = groups[0].iter().map(AsyncUdpSocket::try_clone).collect();
+    let _coord_group = coord_group.map_err(io_err)?;
     let (daemon_reports, coord_shards) = std::thread::scope(|s| {
         let mut groups = groups.into_iter();
         let coord_socks = groups.next().expect("coordinator group");
@@ -581,11 +600,13 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
                 s.spawn(move || run_sharded_serve(socks, addrs, (d + 1) as u8, opts, stop))
             })
             .collect();
-        let coord_handles: Vec<_> = shard_group(coord_socks, addrs.clone(), 0)
+        let coord_handles: Vec<_> = coord_socks
             .into_iter()
-            .map(|t| {
+            .enumerate()
+            .map(|(shard, sock)| {
+                let t = UdpTransport::new(sock, addrs.clone(), 0);
                 let cfg = cfg.clone();
-                s.spawn(move || coordinator_shard(t, cfg, spec.concurrency, spec.seed))
+                s.spawn(move || coordinator_shard(shard, w, t, cfg, spec.concurrency, spec.seed))
             })
             .collect();
         let coord_shards: Vec<_> = coord_handles
@@ -669,12 +690,11 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
         latency_ms_p90: lat_us.percentile(0.90) as f64 / 1e3,
         latency_ms_p99: lat_us.percentile(0.99) as f64 / 1e3,
         latency_ms_p999: lat_us.percentile(0.999) as f64 / 1e3,
+        latency_ms_max: lat_us.max() as f64 / 1e3,
         abort_reasons,
-        forwarded: wave_telemetry.counters.get("net.shard.forwarded").copied().unwrap_or(0),
-        injected: wave_telemetry.counters.get("net.shard.injected").copied().unwrap_or(0),
-        dropped: wave_telemetry.counters.get("net.shard.dropped").copied().unwrap_or(0),
         epoll_wakeups: metrics.epoll_wakeups,
         repoll_arms: wave_telemetry.counters.get("net.udp.repoll_arms").copied().unwrap_or(0),
+        udp_rcvbuf_errors: None,
         telemetry: wave_telemetry,
         task_polls: metrics.task_polls,
         executor_passes: metrics.passes,
@@ -866,8 +886,7 @@ pub fn serve_smoke_specs(seed: u64) -> Vec<ServeWaveSpec> {
             ..base.clone()
         },
         // The sharded smoke: 4 worker runtimes per node over
-        // SO_REUSEPORT + the epoll reactor, cross-shard forwarding and
-        // all — the CI shard-smoke job's gate.
+        // kernel-steered SO_REUSEPORT sockets + the epoll reactor.
         ServeWaveSpec {
             name: "serve_udp_50_w4".into(),
             concurrency: 50,
@@ -919,16 +938,18 @@ fn wave_json(r: &ServeWaveResult) -> String {
         format!("\"latency_ms_p90\": {:.1}", r.latency_ms_p90),
         format!("\"latency_ms_p99\": {:.1}", r.latency_ms_p99),
         format!("\"latency_ms_p999\": {:.1}", r.latency_ms_p999),
+        format!("\"latency_ms_max\": {:.1}", r.latency_ms_max),
         format!("\"task_polls\": {}", r.task_polls),
         format!("\"executor_passes\": {}", r.executor_passes),
         format!("\"peak_tasks\": {}", r.peak_tasks),
         format!("\"naive_polls\": {}", r.naive_polls),
         format!("\"polls_saved\": {}", r.polls_saved),
-        format!("\"forwarded\": {}", r.forwarded),
-        format!("\"injected\": {}", r.injected),
-        format!("\"dropped\": {}", r.dropped),
         format!("\"epoll_wakeups\": {}", r.epoll_wakeups),
         format!("\"repoll_arms\": {}", r.repoll_arms),
+        format!(
+            "\"udp_rcvbuf_errors\": {}",
+            r.udp_rcvbuf_errors.map(|n| n.to_string()).unwrap_or_else(|| "null".into())
+        ),
         format!(
             "\"dominant_phase\": \"{}\"",
             json_escape(r.dominant_phase().map(|(name, _)| name).unwrap_or(""))
@@ -945,6 +966,8 @@ pub fn render_serve_json(results: &[ServeWaveResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(&format!("  \"schema\": \"{SERVE_SCHEMA}\",\n"));
+    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
+    out.push_str(&format!("  \"nproc\": {nproc},\n"));
     out.push_str("  \"waves\": [\n");
     let rows: Vec<String> = results.iter().map(wave_json).collect();
     out.push_str(&rows.join(",\n"));
@@ -1046,10 +1069,9 @@ mod tests {
     }
 
     /// The sharded path in miniature: 4 worker runtimes per node over
-    /// `SO_REUSEPORT`, sessions hash-dispatched, every frame the kernel
-    /// missteers re-forwarded in userspace — zero violations, and on
-    /// Linux zero re-poll timer arms (the epoll reactor carries every
-    /// worker).
+    /// `SO_REUSEPORT`, the kernel steering each frame to its session's
+    /// shard — zero violations, and on Linux zero re-poll timer arms
+    /// (the epoll reactor carries every worker).
     #[test]
     fn sharded_udp_wave_agrees_with_zero_violations() {
         let spec = ServeWaveSpec {
@@ -1063,10 +1085,6 @@ mod tests {
         assert_eq!(r.violations, 0, "safety invariant violated: {r:?}");
         assert_eq!(r.agreed + r.aborted, 24);
         assert!(r.agreed >= 20, "loopback sessions should mostly agree: {r:?}");
-        // Cross-shard fabric was exercised, and every forwarded frame
-        // was either injected or counted dropped at a shard's shutdown.
-        assert!(r.forwarded > 0, "4-tuple steering must missteer some frames");
-        assert_eq!(r.forwarded, r.injected + r.dropped, "fabric lost frames: {r:?}");
         if cfg!(target_os = "linux") {
             assert!(r.epoll_wakeups > 0, "workers must wake via the epoll reactor");
             assert_eq!(r.repoll_arms, 0, "a worker fell back to the re-poll timer");
