@@ -2,9 +2,10 @@
 //!
 //! Drives one group session over any [`Transport`]:
 //!
-//! 1. **Start barrier** — reliably delivers `Start{digest}` to every
-//!    terminal, so sockets are live and configurations agree before any
-//!    data-plane packet is spent.
+//! 1. **Start barrier** — waits its turn in the node's admission FIFO
+//!    ([`crate::reliable::FlowBudget::admit`]), then reliably delivers
+//!    `Start{digest}` to every terminal, so sockets are live and
+//!    configurations agree before any data-plane packet is spent.
 //! 2. **Phase 1** — broadcasts its share of x-packets (plain,
 //!    unacknowledged: erasures are the point), waits [`SessionConfig::
 //!    x_settle`], then reliably broadcasts its reception report and
@@ -28,7 +29,7 @@ use thinair_core::wire::Message;
 use thinair_gf::{kernel, PayloadPlane};
 
 use crate::frame::{Frame, NetPayload};
-use crate::reliable::{Dedup, Reliable, RetransmitPolicy};
+use crate::reliable::{Dedup, FlowBudget, Reliable, RetransmitPolicy};
 use crate::rt;
 use crate::rt::chan::Receiver;
 use crate::session::{
@@ -36,6 +37,9 @@ use crate::session::{
     XState,
 };
 use crate::transport::{SharedTransport, Transport};
+
+/// The first phase, which a session waiting for admission is already in.
+const START_BARRIER: &str = "start barrier";
 
 enum Phase {
     StartBarrier { start_seq: u32 },
@@ -48,7 +52,7 @@ enum Phase {
 impl Phase {
     fn name(&self) -> &'static str {
         match self {
-            Phase::StartBarrier { .. } => "start barrier",
+            Phase::StartBarrier { .. } => START_BARRIER,
             Phase::XSettle { .. } => "x settle",
             Phase::AwaitReports => "report collection",
             Phase::Fountain { .. } => "z fountain",
@@ -118,19 +122,9 @@ pub async fn run_coordinator<T: Transport>(
     let mut outcome: Option<SessionOutcome> = None;
 
     let deadline = rt::now() + cfg.deadline;
-    // Re-check interval for a `Start` the node's flow budget deferred:
-    // the only wait with no deadline of its own (it ends when the
-    // window frees), polled only while one is pending.
-    let recheck = cfg.retransmit.min(Duration::from_millis(10));
     // Socket send failures are counted node-wide by the transport; the
     // session's trace carries the delta over its own lifetime.
     let send_errors_at_start = t.send_errors();
-
-    let start_seq = rel.send(&t, session, NetPayload::Start { digest: cfg.digest() }, &targets)?;
-    let mut phase = Phase::StartBarrier { start_seq };
-    let mut phase_entered = rt::now();
-    crate::telemetry::trace_session_start(session, me, "coordinator");
-    crate::telemetry::trace_phase(session, me, phase.name());
 
     // Builds the clean-abort outcome: the trace carries whatever was
     // collected (reports so far, empty bitmaps for the missing ones) so
@@ -179,6 +173,19 @@ pub async fn run_coordinator<T: Transport>(
     // every exit path shares one expression.
     let send_errs = |t: &SharedTransport<T>| t.send_errors().saturating_sub(send_errors_at_start);
 
+    let mut phase_entered = rt::now();
+    crate::telemetry::trace_session_start(session, me, "coordinator");
+    crate::telemetry::trace_phase(session, me, START_BARRIER);
+    // Admission is part of the start barrier: the session waits its
+    // turn in the flow budget's FIFO, arming no timer of its own, for
+    // at most the session deadline.
+    if rt::timeout_at(deadline, FlowBudget::admit(&t.flow())).await.is_err() {
+        let reason = AbortReason::Deadline { phase: START_BARRIER };
+        return Ok(abort(reason, &reports, None, 0, send_errs(&t)));
+    }
+    let start_seq = rel.send(&t, session, NetPayload::Start { digest: cfg.digest() }, &targets)?;
+    let mut phase = Phase::StartBarrier { start_seq };
+
     loop {
         if rt::now() >= deadline {
             if matches!(phase, Phase::FinBarrier { .. }) {
@@ -198,9 +205,6 @@ pub async fn run_coordinator<T: Transport>(
         let mut wake = deadline;
         if let Some(due) = rel.next_due() {
             wake = wake.min(due);
-        }
-        if rel.has_deferred() {
-            wake = wake.min(rt::now() + recheck);
         }
         match &phase {
             Phase::XSettle { until } => wake = wake.min(*until),

@@ -24,11 +24,21 @@
 //! send side, [`Reliable`] matches ACKs by exact sequence against its
 //! (short-lived) in-flight list, which is wraparound-safe as long as
 //! fewer than 2³² frames are in flight at once.
+//!
+//! # Admission
+//!
+//! Every [`Reliable`] entry is on the wire and charged against the
+//! node's [`FlowBudget`]. Before a session sends its `Start`, it waits
+//! its turn in the budget's FIFO ([`FlowBudget::admit`]), arming no
+//! timer: whatever leaves room in the window wakes the head of the queue.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::future::Future;
 use std::io;
+use std::pin::Pin;
 use std::rc::Rc;
+use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use crate::frame::{Frame, NetPayload, FLAG_RELIABLE};
@@ -94,18 +104,22 @@ pub fn backoff_delay(
 /// compound: more sessions ⇒ more retransmits ⇒ more queueing ⇒ more
 /// timeouts. The budget closes the loop — frames ACKed cleanly grow the
 /// window additively, retransmit timeouts halve it (at most once per
-/// RTO), and session-opening `Start`s defer (admission pacing) while
-/// the window is full. Mid-session frames and retransmits are never
-/// blocked: a round past admission holds registry slots on every peer,
-/// so stalling its frames behind new launches would be a congestion
-/// collapse where demand only grows — they charge unconditionally
-/// (the window may over-commit) and the pressure throttles launches
-/// instead, so running sessions always drain the window back down.
+/// RTO), and session opens wait their turn in a FIFO
+/// ([`FlowBudget::admit`]) while the window is full. Mid-session frames
+/// and retransmits are never blocked: a round past admission holds
+/// registry slots on every peer, so stalling its frames behind new
+/// launches would be a congestion collapse where demand only grows —
+/// they charge unconditionally (the window may over-commit) and the
+/// pressure throttles launches instead, so running sessions always
+/// drain the window back down.
 #[derive(Debug)]
 pub struct FlowBudget {
     cwnd: f64,
     in_flight: u64,
     last_cut: Option<Instant>,
+    /// Session opens waiting for window room, by ticket (arrival order).
+    /// A waiter's waker is taken when it is woken for a freed slot.
+    queue: BTreeMap<u64, Option<Waker>>,
 }
 
 /// The shared handle: one per node, cloned into every session's
@@ -121,7 +135,7 @@ impl Default for FlowBudget {
 impl FlowBudget {
     /// A fresh budget at [`FLOW_INITIAL_CWND`].
     pub fn new() -> Self {
-        FlowBudget { cwnd: FLOW_INITIAL_CWND, in_flight: 0, last_cut: None }
+        FlowBudget { cwnd: FLOW_INITIAL_CWND, in_flight: 0, last_cut: None, queue: BTreeMap::new() }
     }
 
     /// Current congestion window, in frames.
@@ -134,22 +148,22 @@ impl FlowBudget {
         self.in_flight
     }
 
-    /// The integer window the charge check uses (`cwnd` truncated).
+    /// The integer window session opens are admitted against (`cwnd`
+    /// truncated).
     pub fn window(&self) -> u64 {
         self.cwnd as u64
     }
 
-    /// Charges one frame if the window has room; `false` means the
-    /// caller must defer (only session-opening `Start` frames take this
-    /// path — see [`FlowBudget::force_charge`]).
-    pub fn try_charge(&mut self) -> bool {
-        if self.in_flight < self.window() {
-            self.in_flight += 1;
-            crate::telemetry::gauge_set("net.inflight", self.in_flight);
-            true
-        } else {
-            false
-        }
+    /// Waits for one session open's turn at the window: completes once
+    /// every open queued before it has gone and the window has room. A
+    /// fresh open goes straight through only when nothing is queued;
+    /// otherwise it queues (`net.backoff.admit_deferred`) and arms no
+    /// timer: a release, a window increase or a departing waiter wakes
+    /// the head. The caller charges its `Start` in the poll the wait
+    /// completes, which passes the turn on while room remains. Dropping
+    /// a queued future leaves the queue and passes the turn on too.
+    pub(crate) fn admit(flow: &SharedFlow) -> Admit {
+        Admit { flow: flow.clone(), ticket: None }
     }
 
     /// Charges a frame against the window unconditionally — the
@@ -158,11 +172,14 @@ impl FlowBudget {
     /// starve in-progress rounds behind new launches (open sessions
     /// could never finish while `Start`s kept grabbing freed slots —
     /// a congestion collapse where demand only ever grows). The
-    /// over-commit instead back-pressures [`FlowBudget::try_charge`],
-    /// throttling session *openings* until running work drains.
+    /// over-commit instead holds back [`FlowBudget::admit`], throttling
+    /// session *openings* until running work drains. An admitted open's
+    /// `Start` is charged here too, and wakes the next waiter if room
+    /// remains.
     pub fn force_charge(&mut self) {
         self.in_flight += 1;
         crate::telemetry::gauge_set("net.inflight", self.in_flight);
+        self.wake_head();
     }
 
     /// Returns one charged frame to the window (its ACK arrived or its
@@ -170,6 +187,7 @@ impl FlowBudget {
     pub fn release(&mut self) {
         self.in_flight = self.in_flight.saturating_sub(1);
         crate::telemetry::gauge_set("net.inflight", self.in_flight);
+        self.wake_head();
     }
 
     /// Additive increase: +1 frame per window's worth of clean ACKs.
@@ -178,6 +196,7 @@ impl FlowBudget {
             self.cwnd = (self.cwnd + 1.0 / self.cwnd).min(FLOW_MAX_CWND);
             crate::telemetry::counter_add("net.cwnd.increase", 1);
             crate::telemetry::gauge_set("net.cwnd", self.cwnd as u64);
+            self.wake_head();
         }
     }
 
@@ -203,6 +222,55 @@ impl FlowBudget {
             self.cwnd = (self.cwnd * 0.5).max(FLOW_MIN_CWND);
             crate::telemetry::counter_add("net.cwnd.cut", 1);
             crate::telemetry::gauge_set("net.cwnd", self.cwnd as u64);
+        }
+    }
+
+    /// Wakes the oldest waiting open when the window has room for it.
+    /// A woken open holds the turn until it runs or leaves, so further
+    /// calls before then wake nobody.
+    fn wake_head(&mut self) {
+        if self.in_flight < self.window() {
+            if let Some(w) = self.queue.first_entry().and_then(|mut head| head.get_mut().take()) {
+                w.wake();
+            }
+        }
+    }
+}
+
+/// Future of [`FlowBudget::admit`]: one session open's place in the
+/// node's admission FIFO.
+pub(crate) struct Admit {
+    flow: SharedFlow,
+    /// The open's place in the queue, while it waits.
+    ticket: Option<u64>,
+}
+
+impl Future for Admit {
+    type Output = ();
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = &mut *self;
+        let mut f = this.flow.borrow_mut();
+        if f.queue.keys().next() == this.ticket.as_ref() && f.in_flight < f.window() {
+            if let Some(t) = this.ticket.take() {
+                f.queue.remove(&t);
+            }
+            return Poll::Ready(());
+        }
+        let ticket = *this.ticket.get_or_insert_with(|| {
+            crate::telemetry::counter_add("net.backoff.admit_deferred", 1);
+            f.queue.keys().next_back().map_or(0, |last| last + 1)
+        });
+        f.queue.insert(ticket, Some(cx.waker().clone()));
+        Poll::Pending
+    }
+}
+
+impl Drop for Admit {
+    fn drop(&mut self) {
+        if let Some(t) = self.ticket.take() {
+            let mut f = self.flow.borrow_mut();
+            f.queue.remove(&t);
+            f.wake_head();
         }
     }
 }
@@ -266,8 +334,6 @@ struct Entry {
     /// When the first copy went out — the anchor for the ACK-RTT
     /// histogram (`net.ack.rtt_us`).
     first_sent: Instant,
-    /// Whether this frame holds a slot in the node's [`FlowBudget`].
-    charged: bool,
 }
 
 /// Sender-side reliability state for one session.
@@ -346,13 +412,7 @@ impl Reliable {
     }
 
     /// The adaptive RTO toward `peer`: smoothed RTT + 4·RTTVAR, clamped
-    /// between `initial_rto / 4` and the backoff cap; `initial_rto`
-    /// while no sample exists. `None` in the public accessor means no
-    /// RTT sample has been taken yet.
-    pub fn rto_estimate_us(&self, peer: u8) -> Option<u64> {
-        self.peers.get(&peer).map(|p| p.rto_us())
-    }
-
+    /// between `initial_rto / 4` and the backoff cap.
     fn peer_rto_us(&self, peer: u8) -> u64 {
         let init = (self.initial_rto.as_micros() as u64).max(1);
         let clamp = |rto: u64| rto.clamp((init / 4).max(1), (self.cap.as_micros() as u64).max(1));
@@ -390,9 +450,10 @@ impl Reliable {
     }
 
     /// Sends `payload` reliably to `targets`, returning the assigned
-    /// sequence number. When the node's [`FlowBudget`] is exhausted the
-    /// first copy is deferred — [`Reliable::tick`] transmits it as soon
-    /// as the window has room (admission pacing, not an error).
+    /// sequence number. The frame charges the node's [`FlowBudget`]
+    /// unconditionally: a session's `Start` waits for its turn
+    /// ([`FlowBudget::admit`]) before it gets here, and a round past
+    /// admission must never stall behind new launches.
     pub fn send<T: Transport>(
         &mut self,
         t: &SharedTransport<T>,
@@ -400,43 +461,16 @@ impl Reliable {
         payload: NetPayload,
         targets: &[u8],
     ) -> io::Result<u32> {
+        self.flow(t).borrow_mut().force_charge();
         let seq = self.next_seq();
         let frame = Frame { flags: FLAG_RELIABLE, sender: t.local_node(), session, seq, payload };
-        let flow = self.flow(t);
-        // Only session-*opening* frames contend for the window: a
-        // deferred `Start` merely delays a launch, while a deferred
-        // mid-session frame (plan chunk, report, fin) would stall a
-        // round that already holds registry slots on every peer. Those
-        // force-charge — their in-flight pressure throttles further
-        // launches instead, so running sessions always drain.
-        let charged = if matches!(frame.payload, NetPayload::Start { .. }) {
-            flow.borrow_mut().try_charge()
-        } else {
-            flow.borrow_mut().force_charge();
-            true
-        };
-        let now = crate::rt::now();
-        let mut e = Entry {
-            seq,
-            frame,
-            pending: targets.iter().copied().collect(),
-            due: now,
-            attempts: 0,
-            level: 0,
-            first_sent: now,
-            charged,
-        };
-        if charged {
-            for &to in targets {
-                t.send_to(to, &e.frame)?;
-            }
-            e.attempts = 1;
-            e.level = 1;
-            e.due = now + self.schedule(&e.pending, 1, seq);
-        } else {
-            crate::telemetry::counter_add("net.backoff.admit_deferred", 1);
+        let first_sent = crate::rt::now();
+        for &to in targets {
+            t.send_to(to, &frame)?;
         }
-        self.entries.push(e);
+        let pending: BTreeSet<u8> = targets.iter().copied().collect();
+        let due = first_sent + self.schedule(&pending, 1, seq);
+        self.entries.push(Entry { seq, frame, pending, due, attempts: 1, level: 1, first_sent });
         Ok(seq)
     }
 
@@ -474,14 +508,11 @@ impl Reliable {
             return;
         }
         // Fully acknowledged: settle telemetry and the flow budget.
-        let mut e = self.entries.swap_remove(i);
-        crate::telemetry::observe("net.reliable.attempts", e.attempts.max(1) as u64);
+        let e = self.entries.swap_remove(i);
+        crate::telemetry::observe("net.reliable.attempts", e.attempts as u64);
         if let Some(f) = &self.flow {
             let mut f = f.borrow_mut();
-            if e.charged {
-                e.charged = false;
-                f.release();
-            }
+            f.release();
             if e.attempts == 1 {
                 f.on_clean_ack();
             }
@@ -509,25 +540,16 @@ impl Reliable {
         self.entries.is_empty()
     }
 
-    /// The earliest retransmission due among frames already on the
-    /// wire — the reliable layer's share of a state machine's next
-    /// wakeup. Budget-deferred first copies carry no deadline: they
-    /// wait for window room (see [`Reliable::has_deferred`]).
+    /// The earliest retransmission due — the reliable layer's share of
+    /// a state machine's next wakeup.
     pub fn next_due(&self) -> Option<Instant> {
-        self.entries.iter().filter(|e| e.attempts > 0).map(|e| e.due).min()
-    }
-
-    /// Whether a first copy is waiting for [`FlowBudget`] room; its
-    /// owner must re-run [`Reliable::tick`] while this holds.
-    pub fn has_deferred(&self) -> bool {
-        self.entries.iter().any(|e| e.attempts == 0)
+        self.entries.iter().map(|e| e.due).min()
     }
 
     /// Re-sends every due entry to its still-pending peers. A timeout
-    /// halves the node's shared window (which gates admission of *new*
-    /// frames), and budget-deferred first copies transmit as soon as a
-    /// slot frees up. Returns an [`Unreachable`] error once an entry
-    /// exhausts the attempt budget.
+    /// halves the node's shared window (which gates session opens).
+    /// Returns an [`Unreachable`] error once an entry exhausts the
+    /// attempt budget.
     pub fn tick<T: Transport>(
         &mut self,
         t: &SharedTransport<T>,
@@ -535,23 +557,6 @@ impl Reliable {
     ) -> io::Result<Result<(), Unreachable>> {
         let flow = self.flow(t);
         for i in 0..self.entries.len() {
-            if self.entries[i].attempts == 0 {
-                // Budget-deferred first copy: transmit once a slot opens.
-                if !flow.borrow_mut().try_charge() {
-                    continue;
-                }
-                let e = &mut self.entries[i];
-                e.charged = true;
-                e.attempts = 1;
-                e.level = 1;
-                e.first_sent = now;
-                for &to in e.pending.iter() {
-                    t.send_to(to, &e.frame)?;
-                }
-                let delay = self.schedule(&self.entries[i].pending, 1, self.entries[i].seq);
-                self.entries[i].due = now + delay;
-                continue;
-            }
             if now < self.entries[i].due {
                 continue;
             }
@@ -564,7 +569,7 @@ impl Reliable {
             }
             // A retransmit timeout is the loss signal: multiplicative
             // decrease, rate-limited to one cut per entry RTO. The cut
-            // gates *admission* of new frames only — the retransmit
+            // gates *admission* of session opens only — the retransmit
             // itself always proceeds (its exponential backoff is the
             // pacing): blocking retransmits on the window would
             // livelock, since ACKing the frames already charged is the
@@ -605,10 +610,8 @@ impl Drop for Reliable {
     fn drop(&mut self) {
         if let Some(flow) = &self.flow {
             let mut f = flow.borrow_mut();
-            for e in &self.entries {
-                if e.charged {
-                    f.release();
-                }
+            for _ in &self.entries {
+                f.release();
             }
         }
     }
@@ -856,13 +859,13 @@ mod tests {
             rel.tick(&t0, Instant::now()).unwrap().unwrap();
             let mut dedup = Dedup::new(2);
             // First copy is fresh, the retransmit is a duplicate.
-            let f1 = t1.recv().await.unwrap();
+            let f1 = t1.recv_batch(1).await.unwrap().remove(0);
             assert!(dedup.admit(&t1, &f1).unwrap());
-            let f2 = t1.recv().await.unwrap();
+            let f2 = t1.recv_batch(1).await.unwrap().remove(0);
             assert_eq!(f1.seq, f2.seq);
             assert!(!dedup.admit(&t1, &f2).unwrap());
             // Route the (two) acks back.
-            let a = t0.recv().await.unwrap();
+            let a = t0.recv_batch(1).await.unwrap().remove(0);
             if let NetPayload::Ack { seq: s } = a.payload {
                 rel.on_ack(a.sender, s);
             }
@@ -888,5 +891,95 @@ mod tests {
         let err = last.unwrap_err();
         assert_eq!(err.missing, vec![1]);
         assert!(err.attempts >= 3);
+    }
+
+    /// Session opens queue in arrival order on a full window, each
+    /// freed slot wakes and starts exactly one of them, a fresh open
+    /// never overtakes a queued one, and a waiter that leaves passes its
+    /// turn on. No timer is involved except the one `rt::timeout`.
+    #[test]
+    fn session_opens_wait_their_turn_in_fifo_order() {
+        rt::block_on(async {
+            let flow: SharedFlow = Rc::new(RefCell::new(FlowBudget::new()));
+            let window = flow.borrow().window();
+            for _ in 0..window {
+                flow.borrow_mut().force_charge();
+            }
+            let started = Rc::new(RefCell::new(String::new()));
+            let open = |name: char| {
+                let (flow, started) = (flow.clone(), started.clone());
+                rt::spawn(async move {
+                    FlowBudget::admit(&flow).await;
+                    flow.borrow_mut().force_charge();
+                    started.borrow_mut().push(name);
+                })
+            };
+            let release = || flow.borrow_mut().release();
+            let started_now = || started.borrow().clone();
+            let before = rt::metrics();
+
+            let tasks = vec![open('A'), open('B'), open('C')];
+            rt::yield_now().await;
+            assert_eq!(started_now(), "", "a full window admits nobody");
+            release();
+            rt::yield_now().await;
+            assert_eq!(started_now(), "A");
+            // D arrives after a slot frees but while B and C wait: it
+            // queues behind them, and B takes the slot.
+            let d = open('D');
+            release();
+            rt::yield_now().await;
+            assert_eq!(started_now(), "AB");
+            for expected in ["ABC", "ABCD"] {
+                let polls = rt::metrics().task_polls;
+                release();
+                rt::yield_now().await;
+                assert_eq!(started_now(), expected, "one release starts one open");
+                // This task and the open the release woke; no other waiter.
+                assert_eq!(rt::metrics().task_polls - polls, 2, "a release wakes one waiter");
+            }
+            for t in tasks.into_iter().chain([d]) {
+                t.await;
+            }
+            assert_eq!(flow.borrow().in_flight(), window, "each start charged its slot");
+
+            // E's wait is cut by its timeout: it leaves without a slot,
+            // and F behind it starts on the next release.
+            let e = {
+                let flow = flow.clone();
+                rt::spawn(async move {
+                    rt::timeout(Duration::from_millis(5), FlowBudget::admit(&flow)).await
+                })
+            };
+            let f = open('F');
+            assert_eq!(e.await, Err(rt::Elapsed));
+            assert_eq!(flow.borrow().in_flight(), window, "a timed-out open takes no slot");
+            release();
+            rt::yield_now().await;
+            assert_eq!(started_now(), "ABCDF");
+            f.await;
+
+            // G is woken for a freed slot but leaves before it runs:
+            // the turn passes to H.
+            let mut g = FlowBudget::admit(&flow);
+            std::future::poll_fn(|cx| {
+                assert!(Pin::new(&mut g).poll(cx).is_pending(), "G queues");
+                Poll::Ready(())
+            })
+            .await;
+            let h = open('H');
+            rt::yield_now().await;
+            release();
+            drop(g);
+            // Completes at once, so this timeout is cancelled, never fired.
+            rt::timeout(Duration::from_secs(5), h).await.expect("G's turn passes to H");
+            assert_eq!(started_now(), "ABCDFH");
+            assert_eq!(flow.borrow().in_flight(), window);
+
+            let queued = crate::telemetry::snapshot().counters["net.backoff.admit_deferred"];
+            assert_eq!(queued, 8, "all eight opens, A to H, queued");
+            let fires = rt::metrics().delta(&before).timer_fires;
+            assert_eq!(fires, 1, "only E's timeout fires while opens wait");
+        });
     }
 }

@@ -188,28 +188,11 @@ impl<T: Transport> SharedTransport<T> {
         f(&self.inner.borrow())
     }
 
-    /// The next valid incoming frame.
-    pub fn recv(&self) -> RecvFrame<T> {
-        RecvFrame { t: self.inner.clone() }
-    }
-
     /// Every frame deliverable right now (at most `max`); completes with
     /// at least one frame. The batched shape the serve pump uses: one
     /// wakeup drains the whole socket backlog.
     pub fn recv_batch(&self, max: usize) -> RecvBatch<T> {
         RecvBatch { t: self.inner.clone(), max }
-    }
-}
-
-/// Future returned by [`SharedTransport::recv`]; `Unpin`.
-pub struct RecvFrame<T> {
-    t: Rc<RefCell<T>>,
-}
-
-impl<T: Transport> Future for RecvFrame<T> {
-    type Output = io::Result<Frame>;
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        self.t.borrow_mut().poll_recv(cx)
     }
 }
 
@@ -828,10 +811,10 @@ mod tests {
         let t2 = net.transport(2);
         t0.broadcast(&frame(0, 1)).unwrap();
         rt::block_on(async {
-            let a = SharedTransport::new(t1).recv().await.unwrap();
-            let b = SharedTransport::new(t2).recv().await.unwrap();
-            assert_eq!(a.seq, 1);
-            assert_eq!(b.seq, 1);
+            let a = SharedTransport::new(t1).recv_batch(1).await.unwrap();
+            let b = SharedTransport::new(t2).recv_batch(1).await.unwrap();
+            assert_eq!(a[0].seq, 1);
+            assert_eq!(b[0].seq, 1);
         });
         assert_eq!(net.bits_transmitted(), frame(0, 1).bits());
     }
@@ -843,7 +826,7 @@ mod tests {
         t0.broadcast(&frame(0, 7)).unwrap();
         let t1 = SharedTransport::new(net.transport(1));
         rt::block_on(async {
-            let r = rt::timeout(std::time::Duration::from_millis(5), t1.recv()).await;
+            let r = rt::timeout(std::time::Duration::from_millis(5), t1.recv_batch(1)).await;
             assert!(r.is_err(), "nothing should arrive over a dead channel");
         });
         // The transmission still cost air time.
@@ -857,7 +840,7 @@ mod tests {
         let t0 = net.transport(0);
         let t1 = SharedTransport::new(net.transport(1));
         let got = rt::block_on(async {
-            let rx_task = rt::spawn(async move { t1.recv().await.unwrap().seq });
+            let rx_task = rt::spawn(async move { t1.recv_batch(1).await.unwrap()[0].seq });
             rt::spawn(async move {
                 rt::sleep(std::time::Duration::from_millis(2)).await;
                 let mut t0 = t0;
@@ -909,9 +892,9 @@ mod tests {
         assert!(step.deliver_oldest().is_some());
         assert!(step.is_empty());
         rt::block_on(async {
-            assert_eq!(t1.recv().await.unwrap().seq, 2);
-            assert_eq!(t1.recv().await.unwrap().seq, 1);
-            assert_eq!(t2.recv().await.unwrap().seq, 2);
+            assert_eq!(t1.recv_batch(1).await.unwrap()[0].seq, 2);
+            assert_eq!(t1.recv_batch(1).await.unwrap()[0].seq, 1);
+            assert_eq!(t2.recv_batch(1).await.unwrap()[0].seq, 2);
         });
         // Spent ids are gone for good.
         assert!(!step.deliver(0));
@@ -929,11 +912,11 @@ mod tests {
             a.send_to(b"not a frame at all", b_addr).unwrap();
             a.send_to(&frame(0, 3).encode(), b_addr).unwrap();
             let shared = SharedTransport::new(tb);
-            let got = rt::timeout(std::time::Duration::from_secs(2), shared.recv())
+            let got = rt::timeout(std::time::Duration::from_secs(2), shared.recv_batch(1))
                 .await
                 .expect("frame should arrive")
                 .unwrap();
-            assert_eq!(got.seq, 3);
+            assert_eq!(got[0].seq, 3);
             assert_eq!(shared.invalid_frames(), 1);
         });
     }

@@ -19,7 +19,7 @@ use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 use thinair_core::round::XSchedule;
-use thinair_net::driver::task_seed;
+use thinair_net::driver::{run_sessions, task_seed};
 use thinair_net::frame::{Frame, NetPayload};
 use thinair_net::rt;
 use thinair_net::udp::AsyncUdpSocket;
@@ -141,9 +141,9 @@ async fn coordinate_swallowed(
     (outs, lost)
 }
 
-/// This thread's count of a TIME_WAIT re-ack counter (every node of a
+/// This thread's count of a telemetry counter (every node of a
 /// single-runtime test shares the thread's telemetry registry).
-fn reacks(counter: &str) -> u64 {
+fn counter(counter: &str) -> u64 {
     thinair_net::telemetry::snapshot().counters.get(counter).copied().unwrap_or(0)
 }
 
@@ -187,7 +187,7 @@ fn late_fin_is_reacked_by_a_serve_daemon() {
         coordinated
     });
     assert_prompt(started.elapsed(), lost, &cfg);
-    assert!(reacks("demux.time_wait.reacks") > 0, "the daemons' receive loops answered");
+    assert!(counter("demux.time_wait.reacks") > 0, "the daemons' receive loops answered");
     for h in &handles {
         assert_eq!(h.stats().completed, SESSIONS);
         assert_eq!(h.open_sessions(), 0, "a re-ack holds no slot");
@@ -233,6 +233,20 @@ fn late_fin_is_reacked_by_a_sharded_daemon() {
     assert!(reacks > 0, "the owner shards' TIME_WAIT windows answered the late Fins");
 }
 
+/// The three-node session the virtual-clock cost pins run.
+fn virtual_cfg() -> SessionConfig {
+    SessionConfig {
+        n_nodes: 3,
+        schedule: XSchedule::CoordinatorOnly(12),
+        payload_len: 8,
+        drop_prob: 0.25,
+        x_settle: Duration::from_millis(120),
+        retransmit: Duration::from_millis(40),
+        deadline: Duration::from_secs(10),
+        ..SessionConfig::default()
+    }
+}
+
 /// The executor cost of one clean session is pinned exactly: under the
 /// virtual clock every poll and timer fire is deterministic. A role
 /// that woke on a fixed tick (or lingered after `Fin`) would blow
@@ -245,16 +259,7 @@ fn late_fin_is_reacked_by_a_sharded_daemon() {
 /// a deadline already in the virtual past.
 #[test]
 fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
-    let cfg = SessionConfig {
-        n_nodes: 3,
-        schedule: XSchedule::CoordinatorOnly(12),
-        payload_len: 8,
-        drop_prob: 0.25,
-        x_settle: Duration::from_millis(120),
-        retransmit: Duration::from_millis(40),
-        deadline: Duration::from_secs(10),
-        ..SessionConfig::default()
-    };
+    let cfg = virtual_cfg();
     let net = SimNet::new(IidMedium::symmetric(3, 0.0, 1), 3);
     let transports: Vec<_> = (0..3).map(|i| net.transport(i)).collect();
     let (outs, cost, idle_wall) = rt::block_on_virtual(
@@ -312,5 +317,50 @@ fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
     assert!(
         idle_wall < Duration::from_secs(1),
         "5 s of virtual time took {idle_wall:?} of wall time"
+    );
+}
+
+/// A saturated start: 1 000 sessions launched at once fill the
+/// coordinator's flow budget at t = 0, so most `Start`s wait for a
+/// slot. A queued open arms no timer, so timer fires stay at an
+/// unsaturated session's ~3 per session, below the 4.5 that a 10 ms
+/// recheck of every queued `Start` costs here. (One wake per freed slot
+/// is pinned by `reliable`'s FIFO unit test: at this size a
+/// wake-every-waiter herd costs no more polls.)
+#[test]
+fn a_saturated_start_queues_opens_without_timers() {
+    const SESSIONS: u64 = 1_000;
+    let cfg = virtual_cfg();
+    let net = SimNet::new(IidMedium::symmetric(3, 0.0, 1), 3);
+    let transports: Vec<_> = (0..3).map(|i| net.transport(i)).collect();
+    let sessions: Vec<u64> = (1..=SESSIONS).collect();
+    let (outcomes, cost) = rt::block_on_virtual(
+        async move {
+            let before = rt::metrics();
+            let outcomes = run_sessions(&cfg, transports, &sessions, 3).await;
+            (outcomes.expect("virtual sessions run"), rt::metrics().delta(&before))
+        },
+        Instant::now(),
+        &mut || false,
+    );
+    for outs in &outcomes {
+        assert_eq!(outs.len(), 3, "session {} ran on every node", outs[0].session);
+        for out in outs {
+            assert!(out.completed(), "node {} aborted: {:?}", out.node, out.abort);
+            assert_eq!(out.secret, outs[0].secret);
+        }
+    }
+    let queued = counter("net.backoff.admit_deferred");
+    assert!(queued >= 700, "only {queued} opens queued: the budget never filled");
+    let per_session = |n: u64| n as f64 / SESSIONS as f64;
+    assert!(
+        per_session(cost.timer_fires) <= 3.1,
+        "{:.2} timer fires per session with {queued} queued opens",
+        per_session(cost.timer_fires)
+    );
+    assert!(
+        per_session(cost.task_polls) <= 22.0,
+        "{:.2} task polls per session with {queued} queued opens",
+        per_session(cost.task_polls)
     );
 }

@@ -251,7 +251,9 @@ proptest! {
         }
         // Saturate the pipe so the timeout reads as congestion, not
         // idle-path link loss.
-        while b.try_charge() {}
+        while b.in_flight() < b.window() {
+            b.force_charge();
+        }
         let before = b.cwnd();
         b.on_loss(Instant::now(), Duration::ZERO);
         let expected = (before * 0.5).max(FLOW_MIN_CWND);
@@ -304,15 +306,15 @@ fn dedup_and_ack_work_across_wraparound() {
         for _ in 0..4 {
             let seq = rel.send(&t0, 9, NetPayload::Done, &[1]).unwrap();
             seen.push(seq);
-            let f = t1.recv().await.unwrap();
+            let f = t1.recv_batch(1).await.unwrap().remove(0);
             assert!(dedup.admit(&t1, &f).unwrap(), "first copy of {seq} is fresh");
             // Simulate a retransmission of the same frame.
             t0.send_to(1, &f).unwrap();
-            let dup = t1.recv().await.unwrap();
+            let dup = t1.recv_batch(1).await.unwrap().remove(0);
             assert!(!dedup.admit(&t1, &dup).unwrap(), "retransmission of {seq} deduped");
             // Route both acks back to the sender.
             for _ in 0..2 {
-                let a = t0.recv().await.unwrap();
+                let a = t0.recv_batch(1).await.unwrap().remove(0);
                 if let NetPayload::Ack { seq: s } = a.payload {
                     rel.on_ack(a.sender, s);
                 }

@@ -147,10 +147,11 @@ fn loopback_busy_readmission_is_fifo() {
         // order. Collect the admission acks as they arrive.
         let mut admitted = Vec::new();
         while admitted.len() < SESSIONS.len() {
-            let f = rt::timeout(Duration::from_secs(20), coord.recv())
+            let f = rt::timeout(Duration::from_secs(20), coord.recv_batch(1))
                 .await
                 .expect("admission ack arrives")
-                .expect("socket open");
+                .expect("socket open")
+                .remove(0);
             if matches!(f.payload, NetPayload::Ack { .. }) && !admitted.contains(&f.session) {
                 admitted.push(f.session);
             }

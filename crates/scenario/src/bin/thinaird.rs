@@ -746,12 +746,21 @@ fn run_bench_serve(o: Options) -> Result<(), String> {
         return Err(format!("SAFETY INVARIANT VIOLATED in {violations} session(s)"));
     }
     // The daemons must never shed a Start silently: every capacity
-    // rejection is answered with an explicit Busy reply.
+    // rejection is answered with an explicit Busy reply. And an
+    // overload wave must really overload them: one whose daemons never
+    // refused measured the coordinator's pacing, not theirs.
     for r in &results {
         if r.busy < r.rejected {
             return Err(format!(
                 "wave {}: {} rejection(s) but only {} Busy replies — silent shed",
                 r.spec.name, r.rejected, r.busy
+            ));
+        }
+        let overload = r.spec.max_sessions.filter(|&cap| cap < r.spec.concurrency);
+        if let (Some(cap), 0) = (overload, r.busy) {
+            return Err(format!(
+                "wave {}: {} sessions against a cap of {cap} drew no Busy reply — not an overload",
+                r.spec.name, r.spec.concurrency
             ));
         }
     }

@@ -360,14 +360,21 @@ fn run_single_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErro
             lat_us.record(dt.as_micros() as u64);
             coord_outs.push(out);
         }
-        // The coordinators are done; give every daemon a short grace
-        // window to flush its remaining outcomes (a daemon whose link
-        // was chaos-partitioned may have none for some sessions).
+        // The coordinators are done. A daemon sends each outcome as its
+        // session closes, so once none is open every outcome is queued;
+        // every admitted terminal ends within one deadline. (A daemon
+        // whose link was chaos-partitioned may have none for some
+        // sessions.)
+        let until = rt::now() + cfg.deadline;
         let mut served: Vec<SessionOutcome> = Vec::new();
-        for rx in outcome_rxs.iter_mut() {
-            while let Ok(Some(out)) = rt::timeout(Duration::from_millis(400), rx.recv()).await {
-                served.push(out);
+        for (h, rx) in handles.iter().zip(outcome_rxs.iter_mut()) {
+            while h.open_sessions() > 0 {
+                match rt::timeout_at(until, rx.recv()).await {
+                    Ok(Some(out)) => served.push(out),
+                    _ => break,
+                }
             }
+            served.extend(std::iter::from_fn(|| rx.try_recv()));
         }
         for h in &handles {
             h.stop();
