@@ -12,7 +12,8 @@
 //! | `unsafe-confinement`  | `unsafe`     | `unsafe` only in `net::sys` + `compat`,    |
 //! |                       |              | every block preceded by `// SAFETY:`       |
 //! | `panic-free-hot-path` | `panic`      | no unwrap/expect/panic!/unreachable! in    |
-//! |                       |              | the serve hot path (demux, node, serve, …) |
+//! |                       |              | the serve hot path (demux, node, serve,    |
+//! |                       |              | the role state machines, …)                |
 //! | `telemetry-names`     | `telemetry`  | metric names lowercase dot-separated; one  |
 //! |                       |              | kind (counter/gauge/hist) per name         |
 //! | `wire-tags`           | `wire`       | tag constants unique; every `Message`      |
@@ -90,13 +91,18 @@ const UNSAFE_ALLOWED: [&str; 2] = ["crates/net/src/sys.rs", "crates/compat/"];
 const SAFETY_LOOKBACK: usize = 3;
 
 /// The serve hot path: modules where a panic takes down a daemon
-/// serving thousands of concurrent sessions.
-const HOT_PATH_FILES: [&str; 8] = [
+/// serving thousands of concurrent sessions. The role state machines
+/// and their shared session code are on it: the receive loop steps them
+/// inline, so a panic there ends every session on the transport.
+const HOT_PATH_FILES: [&str; 11] = [
+    "crates/net/src/coordinator.rs",
     "crates/net/src/demux.rs",
     "crates/net/src/node.rs",
     "crates/net/src/reliable.rs",
     "crates/net/src/serve.rs",
+    "crates/net/src/session.rs",
     "crates/net/src/shard.rs",
+    "crates/net/src/terminal.rs",
     "crates/net/src/transport.rs",
     "crates/net/src/udp.rs",
     "crates/net/src/rt.rs",

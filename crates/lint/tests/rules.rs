@@ -35,6 +35,7 @@ fn seeded_fixtures_fire_each_rule_at_exact_sites() {
             ("panic-free-hot-path", "crates/net/src/serve.rs", 5),
             ("unsafe-confinement", "crates/net/src/serve.rs", 14),
             ("unsafe-confinement", "crates/net/src/sys.rs", 10),
+            ("panic-free-hot-path", "crates/net/src/terminal.rs", 5),
             ("wire-tags", "crates/net/tests/frame_fuzz.rs", 1),
         ],
         "unexpected finding set:\n{}",
@@ -56,6 +57,10 @@ fn seeded_fixtures_fire_each_rule_at_exact_sites() {
     assert!(msg("telemetry-names", 7).contains("multiple kinds (counter, hist)"));
     assert!(msg("unsafe-confinement", 10).contains("SAFETY"));
     assert!(msg("wire-tags", 1).contains("Message::Pong"));
+    // The role state machines run inside the receive loop's pass, so
+    // they are on the hot path too.
+    let role = findings.iter().find(|f| f.file == "crates/net/src/terminal.rs");
+    assert!(role.is_some_and(|f| f.msg.contains("`.expect(`")));
 }
 
 #[test]
@@ -66,6 +71,7 @@ fn allowlisted_occurrences_stay_silent() {
     let silent = [
         ("determinism", "crates/net/src/chaos.rs", 11), // HashMap, annotated
         ("panic-free-hot-path", "crates/net/src/serve.rs", 10), // .expect, annotated
+        ("panic-free-hot-path", "crates/net/src/terminal.rs", 10), // .unwrap, annotated
         ("unsafe-confinement", "crates/net/src/serve.rs", 19), // unsafe, annotated
         ("telemetry-names", "crates/net/src/metrics_use.rs", 6), // LegacyName, annotated
         ("wire-tags", "crates/core/src/wire.rs", 7),    // under-used alias, annotated

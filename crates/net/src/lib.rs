@@ -35,10 +35,10 @@
 //!   re-derivation, erasure injection (iid hash or pluggable per-receiver
 //!   [`thinair_netsim::ErasureModel`] chains), secret reconstruction.
 //! * [`coordinator`] / [`terminal`] — the two role state machines.
-//! * `demux` (crate-private) — the one receive loop per transport: routes
-//!   frames by session id, re-acks late frames of finished sessions from
-//!   its TIME_WAIT window, and counts orphans; [`node`] and [`serve`]
-//!   both run it.
+//! * `demux` (crate-private) — the one receive loop per transport: steps
+//!   each session's state machine per routed frame and due wake, re-acks
+//!   late frames of finished sessions from its TIME_WAIT window, and
+//!   counts orphans; [`node`] and [`serve`] both run it.
 //! * [`node`] — the coordinator's side: one socket, many concurrent
 //!   sessions it opens itself (session-id routing).
 //! * [`serve`] — the terminal's side, the long-lived daemon layer: a
@@ -64,8 +64,9 @@
 //!   export — the sink every other module's instrumentation feeds.
 //!
 //! The `thinaird` binary wraps this into a deployable daemon with
-//! `coordinator`, `terminal`, and `demo` subcommands; see the README's
-//! loopback quickstart.
+//! `coordinator`, `terminal`, `serve`, `demo`, `bench-scenario`,
+//! `bench-soak`, `bench-serve` and `explore` subcommands; see the
+//! README's loopback quickstart.
 //!
 //! # Example (in-process loopback round)
 //!

@@ -1,18 +1,20 @@
-//! The node: one transport, one receive pump, many concurrent
+//! The node: one transport, one receive loop, many concurrent
 //! coordinator sessions.
 //!
-//! A coordinator owns a single socket; the pump (the transport's one
-//! receive loop, `crate::demux`) routes frames by session id to whichever
-//! sessions it has open — that's how one `thinaird coordinator` process
-//! multiplexes many concurrent group rounds ("session-id routing"). A
-//! node admits nothing, so frames for unknown sessions are dropped and
-//! counted as orphans. Terminals are [`crate::serve::Server`]s, which
-//! admit each session on its coordinator's `Start`.
+//! A coordinator owns a single socket; its receive loop (`crate::demux`)
+//! routes frames by session id to the sessions it has open and steps
+//! each one's state machine inline — that's how one `thinaird
+//! coordinator` process multiplexes many concurrent group rounds. A node
+//! admits nothing, so frames for unknown sessions are orphans.
+//! Terminals are [`crate::serve::Server`]s, which admit each session on
+//! its coordinator's `Start`.
 
-use crate::coordinator::run_coordinator;
-use crate::demux::Demux;
+use crate::coordinator::Coordinator;
+use crate::demux::{Demux, Machine};
+use crate::reliable::FlowBudget;
 use crate::rt;
-use crate::session::{NetError, SessionConfig, SessionOutcome};
+use crate::rt::chan::channel;
+use crate::session::{unrunnable, NetError, SessionConfig, SessionOutcome};
 use crate::transport::{SharedTransport, Transport};
 
 /// One protocol node over one transport.
@@ -44,13 +46,10 @@ impl<T: Transport + 'static> Node<T> {
         self.demux.table().orphans
     }
 
-    /// Spawns the receive pump; it runs until the runtime is dropped or
-    /// the socket fails. On a socket error every open session's channel
-    /// is closed, so sessions fail promptly with [`NetError::Closed`]
-    /// instead of idling to their deadline.
-    ///
-    /// The pump arms no timer: it wakes only when its transport has
-    /// frames, and routes each batch in one pass.
+    /// Spawns the receive loop, which runs every session this node opens
+    /// (under one timer) until the runtime is dropped or the socket
+    /// fails; then each session, open or opened later, fails at once
+    /// with [`NetError::Closed`].
     pub fn start_pump(&self) -> rt::JoinHandle<std::io::Result<()>> {
         let (t, demux) = (self.t.clone(), self.demux.clone());
         rt::spawn(async move {
@@ -62,7 +61,9 @@ impl<T: Transport + 'static> Node<T> {
         })
     }
 
-    /// Runs one session as the coordinator.
+    /// Runs one session as the coordinator: waits its turn in the flow
+    /// budget's admission FIFO, sends `Start`, and hands the session to
+    /// the receive loop ([`Node::start_pump`]) until it ends.
     ///
     /// # Panics
     /// Panics when `session` is already open on this node.
@@ -72,9 +73,19 @@ impl<T: Transport + 'static> Node<T> {
         cfg: SessionConfig,
         seed: u64,
     ) -> Result<SessionOutcome, NetError> {
-        let rx = self.demux.table().open(session, rt::now(), None);
-        let result = run_coordinator(self.t.clone(), rx, session, cfg, seed).await;
-        self.demux.table().retire(session, None);
-        result
+        if let Some(ended) = unrunnable(&cfg, session, cfg.coordinator) {
+            return ended;
+        }
+        let mut coordinator = Coordinator::new(self.t.clone(), session, cfg, seed);
+        // The start barrier begins with a turn in the flow budget's FIFO,
+        // which arms no timer: only the deadline (the wake before `Start`).
+        let admitted = rt::timeout_at(coordinator.wake(), FlowBudget::admit(&self.t.flow()));
+        if admitted.await.is_err() {
+            return Ok(coordinator.unadmitted());
+        }
+        coordinator.start()?;
+        let (done, mut ended) = channel();
+        self.demux.table().open(session, Box::new(coordinator), rt::now(), Some(done));
+        ended.recv().await.unwrap_or(Err(NetError::Closed))
     }
 }

@@ -12,12 +12,11 @@
 //! ordered map of timers. A task is polled only when something woke it —
 //! its timer came due, a channel it awaits received a value, a frame
 //! arrived on its transport, or the task it joins completed. **Idle
-//! tasks cost zero CPU**: a pass over 10 000 blocked sessions polls
-//! only the handful that were actually woken, so per-tick work is
-//! O(ready), not O(tasks). (The first revision of this runtime
-//! re-polled *every* task whenever anything happened — a busy-spin that
-//! burned a full core re-polling idle sessions; the regression test
-//! `idle_tasks_poll_o1` pins the fix.)
+//! tasks cost zero CPU**: a pass over 10 000 blocked tasks polls only
+//! the handful that were actually woken, so per-tick work is O(ready),
+//! not O(tasks). (The first revision of this runtime re-polled *every*
+//! task whenever anything happened — a busy-spin that burned a full
+//! core; the regression test `idle_tasks_poll_o1` pins the fix.)
 //!
 //! When nothing is ready the executor sleeps until the earliest timer
 //! deadline — in `epoll_wait` when any I/O source has registered via
@@ -855,14 +854,14 @@ pub fn timeout<F: Future + Unpin>(d: Duration, fut: F) -> Timeout<F> {
     timeout_at(now() + d, fut)
 }
 
-/// Limits `fut` to complete by `deadline` — the shape of a state
-/// machine that sleeps until its earliest real deadline or an event.
+/// Limits `fut` to complete by `deadline` (a session's wait at the
+/// admission FIFO, say).
 pub fn timeout_at<F: Future + Unpin>(deadline: Instant, fut: F) -> Timeout<F> {
     Timeout { fut, deadline, timer: None }
 }
 
-/// An unbounded single-threaded channel, in the mpsc shape the session
-/// router needs. A send wakes (only) the task awaiting the receive.
+/// An unbounded single-threaded channel (outcome streams, stop requests,
+/// a session's end). A send wakes (only) the task awaiting the receive.
 pub mod chan {
     use std::cell::RefCell;
     use std::collections::VecDeque;

@@ -2,21 +2,21 @@
 //! concurrent auto-admitted sessions.
 //!
 //! [`crate::node::Node`] multiplexes the sessions a coordinator *opens
-//! explicitly*. A deployment at the paper's pitch — cheap secret
-//! agreement for many device pairs on a shared medium — needs the dual:
-//! a terminal daemon that sits on its socket and serves whatever group
-//! rounds coordinators initiate, without a human opening each one. That
+//! explicitly*; a deployment at the paper's pitch — cheap secret
+//! agreement for many device pairs on a shared medium — needs the dual,
+//! a terminal daemon serving whatever rounds coordinators initiate. That
 //! is [`Server`], the one way to be a terminal (`thinaird serve` and
 //! `terminal`, [`crate::driver::run_sessions`] and the shards all run
-//! it). It runs the same receive loop as a node (`crate::demux`:
-//! routes, TIME_WAIT, orphans) and adds the policy for frames no route
-//! claims:
+//! it). It runs a node's receive loop (`crate::demux`) with a policy for
+//! frames no route claims and for sessions that end:
 //!
-//! * **Admission** — a frame for an unknown session spawns a terminal
-//!   state machine iff it is a `Start` from the configured coordinator
-//!   and the daemon has room below its high-water mark (7/8 of
-//!   [`ServeLimits::max_sessions`] — shedding starts *before* the hard
-//!   cap so in-flight sessions keep headroom to finish). A refused
+//! * **Admission** — a frame for an unknown session opens a route
+//!   around a terminal state machine, stepped at once with that frame,
+//!   iff it is a `Start` from the configured coordinator (on a sharded
+//!   daemon, of a session this shard owns) and the daemon has room below
+//!   its high-water mark (7/8 of [`ServeLimits::max_sessions`] —
+//!   shedding starts *before* the hard cap so in-flight sessions keep
+//!   headroom to finish). A refused
 //!   `Start` is answered with an explicit [`NetPayload::Busy`] whose
 //!   `retry_after_ms` scales with the overload, so the coordinator
 //!   paces re-admission instead of retransmitting blind; nothing is
@@ -34,23 +34,20 @@
 //! * **Budgets** — every admitted session inherits the
 //!   [`SessionConfig`] deadline / attempt budgets, so no session can
 //!   outlive its configured worst case.
-//! * **Idle eviction** — a session whose peer went silent (crashed
-//!   coordinator, dead link) is evicted after
-//!   [`ServeLimits::idle_timeout`] without traffic: its channel closes,
-//!   the state machine terminates with [`NetError::Closed`], and the
-//!   slot frees *before* the protocol deadline would have reclaimed it.
-//! * **Terminal-state GC** — completed or aborted sessions leave the
-//!   routing table immediately (their outcome goes to the
+//! * **Idle eviction** — a session whose peer went silent is evicted
+//!   after [`ServeLimits::idle_timeout`] without traffic: its route and
+//!   state machine drop (no outcome), and the slot frees *before* the
+//!   protocol deadline would have reclaimed it.
+//! * **Terminal-state GC** — a session leaves the routing table the
+//!   moment its machine ends (its outcome goes to the
 //!   [`Server::outcomes`] channel), so the open count tracks *live*
 //!   sessions only.
-//! * **TIME_WAIT** — a terminal returns as soon as it has acked `Fin`;
-//!   its id then sits in the receive loop's TIME_WAIT window until the
-//!   session deadline, and a `Fin` the coordinator retransmits because
-//!   that ack was lost is re-acked by the loop — no task, no slot.
+//! * **TIME_WAIT** — a terminal ends as soon as it has acked `Fin`; a
+//!   `Fin` retransmitted because that ack was lost is re-acked by the
+//!   loop's TIME_WAIT window until the session deadline.
 //!
-//! The loop wakes on a batch, the next eviction sweep, or a stop.
-//! Combined with the waker-based executor ([`crate::rt`]), an idle
-//! daemon with thousands of open sessions polls O(1) tasks per wake.
+//! The loop wakes on a batch, the earliest session wake or eviction
+//! sweep, or a stop: one task and one timer, however many sessions.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -66,8 +63,9 @@ use crate::driver::task_seed;
 use crate::frame::{Frame, NetPayload};
 use crate::rt;
 use crate::rt::chan::{channel, Receiver, Sender};
-use crate::session::{NetError, SessionConfig, SessionOutcome};
-use crate::terminal::run_terminal;
+use crate::session::{unrunnable, Ended, SessionConfig, SessionOutcome};
+use crate::shard::shard_of;
+use crate::terminal::Terminal;
 use crate::transport::{SharedTransport, Transport};
 
 /// Resource limits of one serve daemon.
@@ -90,7 +88,7 @@ impl Default for ServeLimits {
 /// Aggregate counters of one daemon's lifetime.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeStats {
-    /// Sessions admitted (a terminal task was spawned).
+    /// Sessions admitted (a terminal state machine was opened).
     pub admitted: u64,
     /// `Start`s refused because the daemon was at capacity.
     pub rejected: u64,
@@ -146,9 +144,8 @@ struct PendingStart {
 
 /// Outcome of one admission attempt (see [`SessionRegistry::admit`]).
 enum Admission {
-    /// A route was opened and the admitting `Start` delivered on it; the
-    /// session's frames flow through this.
-    Admitted(Receiver<Frame>),
+    /// Room for the session: open it with this `Start`.
+    Admitted(Frame),
     /// Load-shed: the `Start` was parked in the re-admission queue;
     /// answer the coordinator with `Busy { retry_after_ms }`.
     Busy {
@@ -227,16 +224,12 @@ impl SessionRegistry {
         (scaled + spread).clamp(BASE_MS, 2_000) as u32
     }
 
-    /// Opens the route of an admitted `start` (the caller has checked
-    /// load and replay) and returns the frame receiver for its terminal
-    /// task, the `Start` already delivered on it.
-    fn open_slot(&mut self, table: &mut Table, start: Frame, now: Instant) -> Receiver<Frame> {
-        let rx = table.open(start.session, now, Some(start));
+    /// Counts an admitted session, its route (if it has one) open.
+    fn opened(&mut self, table: &Table) {
         self.stats.admitted += 1;
         self.stats.peak_open = self.stats.peak_open.max(table.len() as u64);
         crate::telemetry::counter_add("serve.admitted", 1);
         crate::telemetry::gauge_set("serve.open", table.len() as u64);
-        rx
     }
 
     /// Parks a refused `Start` for FIFO re-admission (or refreshes the
@@ -251,12 +244,10 @@ impl SessionRegistry {
         crate::telemetry::gauge_set("serve.queue.depth", self.queued.len() as u64);
     }
 
-    /// Admits the longest-parked queued `Start` if a slot is free:
-    /// opens its route with the stored frame, and returns the session id
-    /// plus frame receiver for the caller to spawn. Stale and spent
-    /// entries are skipped. `None` when the daemon is at its high-water
-    /// mark or the queue is drained.
-    fn pop_admission(&mut self, table: &mut Table, now: Instant) -> Option<(u64, Receiver<Frame>)> {
+    /// The longest-parked queued `Start`, for the caller to open, if a
+    /// slot is free. Stale and spent entries are skipped. `None` when
+    /// the daemon is at its high-water mark or the queue is drained.
+    fn pop_admission(&mut self, table: &Table, now: Instant) -> Option<Frame> {
         while table.len() < self.admit_high() {
             let session = self.queue.pop_front()?;
             let Some(pending) = self.queued.remove(&session) else { continue };
@@ -266,20 +257,19 @@ impl SessionRegistry {
             {
                 continue;
             }
-            let rx = self.open_slot(table, pending.frame, now);
             crate::telemetry::counter_add("serve.queue.admitted", 1);
-            return Some((session, rx));
+            return Some(pending.frame);
         }
         None
     }
 
-    /// Opens a route for the session of this `Start` if load allows and
-    /// the id is not a replay of a terminated session (a ghost session
-    /// would hold a slot until eviction and could emit a spurious abort
-    /// for a session that already agreed); over the high-water mark the
-    /// frame is parked for FIFO re-admission and the refusal answered
-    /// with a pacing hint.
-    fn admit(&mut self, table: &mut Table, frame: Frame, now: Instant) -> Admission {
+    /// Admits the session of this `Start` if load allows and the id is
+    /// not a replay of a terminated session (a ghost session would hold
+    /// a slot until eviction and could emit a spurious abort for a
+    /// session that already agreed); over the high-water mark the frame
+    /// is parked for FIFO re-admission and the refusal answered with a
+    /// pacing hint.
+    fn admit(&mut self, table: &Table, frame: Frame, now: Instant) -> Admission {
         let session = frame.session;
         if table.time_wait.contains(session) {
             return Admission::Spent;
@@ -296,31 +286,21 @@ impl SessionRegistry {
         }
         // Tombstone any parked copy: the live admission supersedes it.
         self.queued.remove(&session);
-        Admission::Admitted(self.open_slot(table, frame, now))
+        Admission::Admitted(frame)
     }
 
-    /// Closes a terminated session's route (terminal-state GC); its id
+    /// Closes an ended session's route (terminal-state GC); its id
     /// retires into TIME_WAIT, re-acking until the session deadline if
-    /// it completed, so Start replays cannot resurrect it.
-    fn finish(
-        &mut self,
-        table: &mut Table,
-        session: u64,
-        outcome: &Result<SessionOutcome, NetError>,
-        now: Instant,
-    ) {
+    /// it completed, so Start replays cannot resurrect it. (A session
+    /// that ended as it opened had no route.)
+    fn finish(&mut self, table: &mut Table, session: u64, outcome: &Ended, now: Instant) {
         let completed = matches!(outcome, Ok(out) if out.completed());
-        // A session whose route is already gone was evicted (counted as
-        // `evicted`) or swept on socket death — its late outcome,
-        // whatever its shape (an eviction usually terminates with
-        // `Closed`, but a protocol deadline can race the idle sweep and
-        // deliver an `Ok` abort), must not be counted a second time:
-        // the stat buckets partition `admitted`.
         let reack = completed.then_some((self.coordinator, self.deadline));
-        let Some(route) = table.retire(session, reack) else { return };
-        let held = now.saturating_duration_since(route.opened);
-        crate::telemetry::observe("serve.session_us", held.as_micros() as u64);
-        crate::telemetry::gauge_set("serve.open", table.len() as u64);
+        if let Some(route) = table.retire(session, reack) {
+            let held = now.saturating_duration_since(route.opened);
+            crate::telemetry::observe("serve.session_us", held.as_micros() as u64);
+            crate::telemetry::gauge_set("serve.open", table.len() as u64);
+        }
         match outcome {
             Ok(_) if completed => self.stats.completed += 1,
             Ok(_) => self.stats.aborted += 1,
@@ -328,10 +308,10 @@ impl SessionRegistry {
         }
     }
 
-    /// Closes every session idle longer than the limit; the state
-    /// machines terminate with [`NetError::Closed`]. An evicted id is
-    /// spent too: its peer is presumed dead (a live coordinator would
-    /// have kept the route fresh with retransmits).
+    /// Closes every session idle longer than the limit; their state
+    /// machines drop and report nothing. An evicted id is spent too: its
+    /// peer is presumed dead (a live coordinator would have kept the
+    /// route fresh with retransmits).
     fn evict_idle(&mut self, table: &mut Table, now: Instant) {
         let evicted = table.evict_idle(now, self.limits.idle_timeout) as u64;
         self.stats.evicted += evicted;
@@ -379,9 +359,12 @@ pub struct Server<T> {
     /// channel stays open while no handle exists.
     stop: Sender<()>,
     stopped: Receiver<()>,
-    /// The outcome stream's only sender, shared with the session tasks
-    /// and dropped when the server stops, which closes the stream.
-    outcomes: Outcomes,
+    /// The outcome stream's only sender; it drops with the server when
+    /// [`Server::run`] returns, which closes the stream.
+    outcomes: Option<Sender<SessionOutcome>>,
+    /// `(shard, workers)` of a sharded daemon's worker: it admits only
+    /// the sessions [`shard_of`] gives it. `(0, 1)` admits every one.
+    shard: (usize, usize),
     /// Eviction sweeps ride the loop's wait so an idle daemon wakes a
     /// few times a second — and a *busy* loop (woken per batch) still
     /// sweeps only once per interval: the sweep is an O(open-sessions)
@@ -389,8 +372,6 @@ pub struct Server<T> {
     sweep: Duration,
     last_sweep: Instant,
 }
-
-type Outcomes = Rc<RefCell<Option<Sender<SessionOutcome>>>>;
 
 impl<T: Transport + 'static> Server<T> {
     /// Builds a daemon for this node. `cfg` is the session
@@ -417,7 +398,8 @@ impl<T: Transport + 'static> Server<T> {
             registry: Rc::new(RefCell::new(registry)),
             stop,
             stopped,
-            outcomes: Rc::default(),
+            outcomes: None,
+            shard: (0, 1),
             sweep: (limits.idle_timeout / 4)
                 .clamp(Duration::from_millis(50), Duration::from_secs(1)),
             last_sweep: rt::now(),
@@ -433,56 +415,65 @@ impl<T: Transport + 'static> Server<T> {
         }
     }
 
-    /// Creates the outcome stream: every terminated session's
-    /// [`SessionOutcome`] is delivered here (terminations from eviction
-    /// and socket errors are not — they carry no outcome). The stream
-    /// closes when the server stops.
+    /// Creates the outcome stream: every ended session's
+    /// [`SessionOutcome`] is delivered here (evicted sessions and
+    /// infrastructure failures carry none). The stream closes when the
+    /// server stops.
     pub fn outcomes(&mut self) -> Receiver<SessionOutcome> {
         let (tx, rx) = channel();
-        *self.outcomes.borrow_mut() = Some(tx);
+        self.outcomes = Some(tx);
         rx
     }
 
+    /// Makes this server shard `shard` of `workers`: a `Start` for a
+    /// session another shard owns is left an orphan, not admitted.
+    pub(crate) fn set_shard(&mut self, shard: usize, workers: usize) {
+        self.shard = (shard, workers);
+    }
+
     /// Runs the daemon until [`ServeHandle::stop`] or a socket error.
-    /// Returns the lifetime stats. Either way the outcome stream closes:
-    /// sessions still in flight run on, but report nowhere.
+    /// Returns the lifetime stats. Either way the outcome stream closes,
+    /// and sessions still open stop running.
     pub async fn run(mut self) -> io::Result<ServeStats> {
         self.last_sweep = rt::now();
         let (t, demux) = (self.t.clone(), self.demux.clone());
-        let result = demux.run(&t, &mut self).await;
-        self.outcomes.borrow_mut().take();
-        result.map(|()| self.handle().stats())
+        demux.run(&t, &mut self).await?;
+        Ok(self.handle().stats())
     }
 
-    /// Spawns the terminal task of a freshly admitted session (used by
-    /// both direct admission and queue drain).
-    fn spawn_session(&self, session: u64, rx: Receiver<Frame>) {
-        let (t, cfg, demux) = (self.t.clone(), self.cfg.clone(), self.demux.clone());
-        let (registry, outcomes) = (self.registry.clone(), self.outcomes.clone());
-        let seed = task_seed(self.seed, session, t.local_node());
-        rt::spawn(async move {
-            let result = run_terminal(t, rx, session, cfg, seed).await;
-            registry.borrow_mut().finish(&mut demux.table(), session, &result, rt::now());
-            if let (Some(tx), Ok(out)) = (outcomes.borrow().as_ref(), result) {
-                tx.send(out);
-            }
-        });
+    /// Opens an admitted session's route around a fresh terminal state
+    /// machine and steps it with the admitting `Start` (direct admission
+    /// and queue drain alike). A session `cfg` cannot run ends at once.
+    fn launch(&mut self, table: &mut Table, start: Frame, now: Instant) {
+        let (session, me) = (start.session, self.t.local_node());
+        let unrunnable = unrunnable(&self.cfg, session, me);
+        if unrunnable.is_none() {
+            let seed = task_seed(self.seed, session, me);
+            let terminal = Terminal::new(self.t.clone(), session, self.cfg.clone(), seed);
+            table.open(session, Box::new(terminal), now, None);
+        }
+        self.registry.borrow_mut().opened(table);
+        if let Some(ended) = unrunnable.or_else(|| table.route(start, now).ok().flatten()) {
+            self.finished(table, session, ended, now);
+        }
     }
 }
 
 impl<T: Transport + 'static> Policy for Server<T> {
-    /// A `Start` from the coordinator goes to admission; anything else
-    /// is an orphan.
+    /// A `Start` from the coordinator, of a session this shard owns,
+    /// goes to admission; anything else is an orphan.
     fn unrouted(&mut self, table: &mut Table, frame: Frame, now: Instant) -> bool {
+        let (shard, workers) = self.shard;
         if frame.sender != self.cfg.coordinator
             || !matches!(frame.payload, NetPayload::Start { .. })
+            || shard_of(frame.session, workers) != shard
         {
             return false;
         }
         let session = frame.session;
         let admission = self.registry.borrow_mut().admit(table, frame, now);
         match admission {
-            Admission::Admitted(rx) => self.spawn_session(session, rx),
+            Admission::Admitted(start) => self.launch(table, start, now),
             Admission::Busy { retry_after_ms } => {
                 // Explicit backpressure instead of a silent drop: tell the
                 // coordinator when to re-knock. Best-effort — a lost reply
@@ -502,6 +493,14 @@ impl<T: Transport + 'static> Policy for Server<T> {
         true
     }
 
+    /// Terminal-state GC and the outcome stream.
+    fn finished(&mut self, table: &mut Table, session: u64, ended: Ended, now: Instant) {
+        self.registry.borrow_mut().finish(table, session, &ended, now);
+        if let (Some(tx), Ok(out)) = (&self.outcomes, ended) {
+            tx.send(out);
+        }
+    }
+
     /// Slots freed by terminal-state GC since the last pass are refilled
     /// from the parked-Start queue in arrival order — re-admission does
     /// not wait for the coordinator's paced retry, and FIFO order keeps
@@ -511,8 +510,8 @@ impl<T: Transport + 'static> Policy for Server<T> {
     fn after_pass(&mut self, table: &mut Table, now: Instant) {
         loop {
             let popped = self.registry.borrow_mut().pop_admission(table, now);
-            let Some((session, rx)) = popped else { break };
-            self.spawn_session(session, rx);
+            let Some(start) = popped else { break };
+            self.launch(table, start, now);
         }
         if now.duration_since(self.last_sweep) >= self.sweep {
             self.last_sweep = now;
@@ -532,7 +531,9 @@ impl<T: Transport + 'static> Policy for Server<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::demux::Machine;
     use crate::reliable::SPENT_WINDOW;
+    use crate::session::NetError;
     use crate::transport::SimNet;
     use thinair_netsim::IidMedium;
 
@@ -569,14 +570,56 @@ mod tests {
         }
     }
 
+    /// A `Start` the test daemon's terminals accept.
+    fn valid_start(session: u64) -> Frame {
+        let digest = small_cfg(2).digest();
+        Frame { flags: 0, sender: 0, session, seq: 0, payload: NetPayload::Start { digest } }
+    }
+
+    /// A session machine that never ends on its own; `dropped` is set
+    /// once its route lets it go.
+    struct Idle {
+        dropped: Rc<RefCell<bool>>,
+    }
+
+    impl Machine for Idle {
+        fn step(&mut self, _frame: Option<Frame>, _now: Instant) -> Option<Ended> {
+            None
+        }
+
+        fn wake(&self) -> Instant {
+            Instant::now() + Duration::from_secs(3600)
+        }
+    }
+
+    impl Drop for Idle {
+        fn drop(&mut self) {
+            *self.dropped.borrow_mut() = true;
+        }
+    }
+
+    /// Opens an admitted session's route around an [`Idle`] machine;
+    /// returns its drop flag.
+    fn open(
+        reg: &mut SessionRegistry,
+        table: &mut Table,
+        session: u64,
+        now: Instant,
+    ) -> Rc<RefCell<bool>> {
+        let dropped = Rc::default();
+        table.open(session, Box::new(Idle { dropped: Rc::clone(&dropped) }), now, None);
+        reg.opened(table);
+        dropped
+    }
+
     fn must_admit(
         reg: &mut SessionRegistry,
         table: &mut Table,
         session: u64,
         now: Instant,
-    ) -> Receiver<Frame> {
+    ) -> Rc<RefCell<bool>> {
         match reg.admit(table, start(session), now) {
-            Admission::Admitted(rx) => rx,
+            Admission::Admitted(_) => open(reg, table, session, now),
             Admission::Busy { .. } => panic!("session {session} refused: busy"),
             Admission::Spent => panic!("session {session} refused: spent"),
         }
@@ -589,7 +632,7 @@ mod tests {
         let now = Instant::now();
         let _rx1 = must_admit(&mut reg, &mut table, 1, now);
         let _rx2 = must_admit(&mut reg, &mut table, 2, now);
-        let Admission::Busy { retry_after_ms } = reg.admit(&mut table, start(3), now) else {
+        let Admission::Busy { retry_after_ms } = reg.admit(&table, start(3), now) else {
             panic!("over capacity must be Busy");
         };
         assert!(retry_after_ms > 0, "busy carries a positive pace");
@@ -597,7 +640,7 @@ mod tests {
         assert_eq!(reg.stats.busy, 1, "every rejection is answered");
         assert_eq!(reg.stats.peak_open, 2);
         let frame = Frame { flags: 0, sender: 0, session: 1, seq: 9, payload: NetPayload::Fin };
-        assert!(table.route(frame.clone(), now).is_ok());
+        assert!(matches!(table.route(frame.clone(), now), Ok(None)), "stepped, still open");
         let stray = Frame { session: 99, ..frame };
         assert!(table.route(stray, now).is_err());
     }
@@ -626,48 +669,27 @@ mod tests {
     }
 
     #[test]
-    fn registry_evicts_idle_sessions_and_closes_their_channels() {
+    fn registry_evicts_idle_sessions_and_drops_their_machines() {
         let limits = ServeLimits { max_sessions: 8, idle_timeout: Duration::from_millis(10) };
         let (mut reg, mut table) = registry(limits);
         let t0 = Instant::now();
-        let mut rx = must_admit(&mut reg, &mut table, 7, t0);
+        let dropped = must_admit(&mut reg, &mut table, 7, t0);
         reg.evict_idle(&mut table, t0 + Duration::from_millis(5));
         assert_eq!(table.len(), 1, "young session survives");
+        assert!(!*dropped.borrow());
         reg.evict_idle(&mut table, t0 + Duration::from_millis(50));
         assert_eq!(table.len(), 0, "idle session evicted");
         assert_eq!(reg.stats.evicted, 1);
-        // The channel closed with the route: after the admitting Start
-        // (delivered at admission), the session task sees None and
-        // terminates with NetError::Closed.
-        rt::block_on(async {
-            assert!(matches!(
-                rx.recv().await,
-                Some(Frame { payload: NetPayload::Start { .. }, .. })
-            ));
-            assert_eq!(rx.recv().await, None);
-        });
-        // Its termination is not double-counted as a failure.
-        reg.finish(&mut table, 7, &Err(NetError::Closed), t0);
-        assert_eq!(reg.stats.failed, 0);
+        // The machine went with the route, so it is never stepped again
+        // and can report no outcome: the stat buckets partition
+        // `admitted` with nothing counted twice.
+        assert!(*dropped.borrow(), "an evicted route drops its machine");
+        assert_eq!((reg.stats.completed, reg.stats.aborted, reg.stats.failed), (0, 0, 0));
         // And a replayed Start for the evicted id cannot resurrect it.
         assert!(
-            matches!(reg.admit(&mut table, start(7), t0), Admission::Spent),
+            matches!(reg.admit(&table, start(7), t0), Admission::Spent),
             "spent ids are not re-admissible"
         );
-        // A protocol-deadline abort racing the idle sweep is not
-        // double-counted: once evicted, the late outcome is dropped.
-        let _rx2 = must_admit(&mut reg, &mut table, 8, t0);
-        reg.evict_idle(&mut table, t0 + Duration::from_millis(50));
-        let late = crate::session::SessionOutcome::aborted(
-            8,
-            1,
-            4,
-            crate::session::AbortReason::Deadline { phase: "x settle" },
-            None,
-        );
-        reg.finish(&mut table, 8, &Ok(late), t0);
-        assert_eq!(reg.stats.aborted, 0, "evicted sessions count once, as evicted");
-        assert_eq!(reg.stats.evicted, 2);
     }
 
     /// A duplicated/delayed `Start` arriving after its session finished
@@ -676,16 +698,16 @@ mod tests {
     fn registry_refuses_start_replays_of_finished_sessions() {
         let (mut reg, mut table) = registry(ServeLimits::default());
         let now = Instant::now();
-        let _rx = must_admit(&mut reg, &mut table, 42, now);
+        must_admit(&mut reg, &mut table, 42, now);
         reg.finish(&mut table, 42, &Ok(completed(42)), now);
         assert_eq!(table.len(), 0);
         assert!(
-            matches!(reg.admit(&mut table, start(42), now), Admission::Spent),
+            matches!(reg.admit(&table, start(42), now), Admission::Spent),
             "finished ids are spent"
         );
         assert_eq!(reg.stats.admitted, 1, "the replay admitted nothing");
         // Fresh ids are unaffected, and the window is bounded.
-        let _rx43 = must_admit(&mut reg, &mut table, 43, now);
+        must_admit(&mut reg, &mut table, 43, now);
         for s in 100..100 + (SPENT_WINDOW as u64) + 10 {
             table.time_wait.mark_spent(s);
         }
@@ -713,11 +735,13 @@ mod tests {
         };
         let reacks =
             || crate::telemetry::snapshot().counters.get("demux.time_wait.reacks").copied();
-        // Admission spawns terminal tasks; this task never yields, so
-        // they never run and the test finishes their sessions by hand.
+        // Admission opens terminal machines that wait for the x phase to
+        // settle; the test finishes their sessions by hand.
         rt::block_on(async {
             let t0 = rt::now();
-            demux.dispatch(&t, &mut server, vec![start(1), start(2), start(3)], t0);
+            let starts = vec![valid_start(1), valid_start(2), valid_start(3)];
+            demux.dispatch(&t, &mut server, starts, t0);
+            assert_eq!(handle.open_sessions(), 3);
             assert_eq!(handle.stats().admitted, 3);
             let abort = crate::session::AbortReason::Deadline { phase: "x settle" };
             {
@@ -735,7 +759,7 @@ mod tests {
             demux.dispatch(&t, &mut server, vec![Frame { sender: 2, ..fin(1) }], t0);
             assert_eq!(handle.stats().orphans, 1);
             // A Start replay of the completed id stays spent.
-            demux.dispatch(&t, &mut server, vec![start(1)], t0);
+            demux.dispatch(&t, &mut server, vec![valid_start(1)], t0);
             assert_eq!(handle.stats().orphans, 2);
             assert_eq!(handle.stats().admitted, 3, "the replay admitted nothing");
             // Aborted and evicted ids are spent but never re-acked.
@@ -749,6 +773,27 @@ mod tests {
         });
     }
 
+    /// A sharded daemon's worker admits only the sessions it owns: a
+    /// `Start` the kernel's hash sent it before the socket group was
+    /// bound is an orphan, so the coordinator's retransmit reaches the
+    /// owner instead of opening the session on the wrong shard.
+    #[test]
+    fn a_shard_admits_only_the_sessions_it_owns() {
+        let net = SimNet::new(IidMedium::symmetric(2, 0.0, 1), 2);
+        let limits = ServeLimits::default();
+        let mut server =
+            Server::new(SharedTransport::new(net.transport(1)), small_cfg(2), 11, limits);
+        server.set_shard(0, 2);
+        let (t, demux, handle) = (server.t.clone(), server.demux.clone(), server.handle());
+        assert_eq!((shard_of(1, 2), shard_of(2, 2)), (1, 0));
+        let now = Instant::now();
+        demux.dispatch(&t, &mut server, vec![valid_start(1), valid_start(2)], now);
+        let stats = handle.stats();
+        assert_eq!((stats.admitted, stats.orphans), (1, 1));
+        assert_eq!(handle.open_sessions(), 1);
+        assert!(!demux.table().time_wait.contains(1), "the orphaned id is not spent");
+    }
+
     /// Shedding starts at the high-water mark (7/8 of the cap), not at
     /// the wall, and the suggested pace grows with the overload.
     #[test]
@@ -757,22 +802,20 @@ mod tests {
         let (mut reg, mut table) = registry(limits);
         let now = Instant::now();
         let high = 64 - 64 / 8;
-        let mut rxs = Vec::new();
         for s in 0..high as u64 {
-            rxs.push(must_admit(&mut reg, &mut table, s, now));
+            must_admit(&mut reg, &mut table, s, now);
         }
         assert_eq!(table.len(), high, "full up to the high-water mark");
-        let Admission::Busy { retry_after_ms: at_high } = reg.admit(&mut table, start(1_000), now)
+        let Admission::Busy { retry_after_ms: at_high } = reg.admit(&table, start(1_000), now)
         else {
             panic!("the high-water mark sheds");
         };
         // As more coordinators pile up paced-out, the suggested pace
         // grows (same session id, so the spread term is fixed).
         for s in 1_001..1_400 {
-            assert!(matches!(reg.admit(&mut table, start(s), now), Admission::Busy { .. }));
+            assert!(matches!(reg.admit(&table, start(s), now), Admission::Busy { .. }));
         }
-        let Admission::Busy { retry_after_ms: deep } = reg.admit(&mut table, start(1_000), now)
-        else {
+        let Admission::Busy { retry_after_ms: deep } = reg.admit(&table, start(1_000), now) else {
             panic!("still shedding");
         };
         assert!(deep > at_high, "pace scales with backlog: {deep} vs {at_high}");
@@ -789,23 +832,24 @@ mod tests {
         let now = Instant::now();
         let high = 8 - 8 / 8;
         for s in 0..high as u64 {
-            let _rx = must_admit(&mut reg, &mut table, s, now);
+            must_admit(&mut reg, &mut table, s, now);
         }
-        assert!(matches!(reg.admit(&mut table, start(20), now), Admission::Busy { .. }));
-        assert!(matches!(reg.admit(&mut table, start(21), now), Admission::Busy { .. }));
+        assert!(matches!(reg.admit(&table, start(20), now), Admission::Busy { .. }));
+        assert!(matches!(reg.admit(&table, start(21), now), Admission::Busy { .. }));
         // Nothing drains while the daemon sits at the high-water mark.
-        assert!(reg.pop_admission(&mut table, now).is_none());
+        assert!(reg.pop_admission(&table, now).is_none());
         // One slot frees -> the longest-parked session (20) re-admits,
         // and only that one (the mark is reached again).
         reg.finish(&mut table, 0, &Err(NetError::Closed), now);
-        let (session, _rx20) = reg.pop_admission(&mut table, now).expect("queued start re-admits");
-        assert_eq!(session, 20, "FIFO: arrival order");
-        assert!(reg.pop_admission(&mut table, now).is_none());
+        let parked = reg.pop_admission(&table, now).expect("queued start re-admits");
+        assert_eq!(parked.session, 20, "FIFO: arrival order");
+        open(&mut reg, &mut table, 20, now);
+        assert!(reg.pop_admission(&table, now).is_none());
         // A parked entry whose coordinator stopped refreshing it is
         // dropped at drain time instead of burning a slot.
         reg.finish(&mut table, 1, &Err(NetError::Closed), now);
         let stale = now + QUEUE_STALE + Duration::from_secs(1);
-        assert!(reg.pop_admission(&mut table, stale).is_none());
+        assert!(reg.pop_admission(&table, stale).is_none());
         assert_eq!(table.len(), high - 1, "stale entry admitted nothing");
         // Refusals answered while parked still count 1:1.
         assert_eq!(reg.stats.busy, reg.stats.rejected);

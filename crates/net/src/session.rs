@@ -25,7 +25,7 @@
 //! is dropped consistently. Over an actually lossy network, set it to 0.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -41,7 +41,7 @@ use thinair_gf::{kernel, Gf256, PayloadPlane, RowEchelon};
 use thinair_netsim::ErasureModel;
 
 use crate::frame::{Frame, FrameError, NetPayload};
-use crate::reliable::Reliable;
+use crate::reliable::{Dedup, Reliable, RetransmitPolicy};
 use crate::transport::{SharedTransport, Transport};
 
 /// Infrastructure failures of a networked session. Conditions a
@@ -58,7 +58,7 @@ pub enum NetError {
     /// A frame failed to parse (only surfaced from strict contexts;
     /// transports normally just drop bad datagrams).
     Frame(FrameError),
-    /// The session's frame channel closed (node shut down).
+    /// The receive loop running the session stopped: its socket failed.
     Closed,
 }
 
@@ -68,7 +68,7 @@ impl std::fmt::Display for NetError {
             NetError::Io(e) => write!(f, "io: {e}"),
             NetError::Protocol(e) => write!(f, "protocol: {e}"),
             NetError::Frame(e) => write!(f, "frame: {e}"),
-            NetError::Closed => write!(f, "session channel closed"),
+            NetError::Closed => write!(f, "session closed: its receive loop stopped"),
         }
     }
 }
@@ -423,48 +423,112 @@ pub fn derive_plan(
     )
 }
 
-/// Phase-1 data-plane state shared by both role state machines: this
-/// node's slice of the x-pool, everything it received, and the
-/// validation every incoming x-packet must clear.
-pub(crate) struct XState {
-    cfg: SessionConfig,
-    session: u64,
-    me: u8,
-    owners: Vec<usize>,
-    /// Precomputed drop decisions per data-plane kind when the session
-    /// runs per-receiver erasure models ([`SessionConfig::drop_models`]).
-    x_drops: Option<Vec<bool>>,
-    z_drops: Option<Vec<bool>>,
-    /// Payloads this node holds (own + received), by packet id, as raw
-    /// byte rows (the kernels and the wire both speak bytes).
-    pub store: BTreeMap<usize, Vec<u8>>,
-    received: BTreeSet<usize>,
+/// `n` as a `u16` wire field. [`SessionConfig::plan_bounds`] keeps every
+/// x id and count in range, so a miss is a configuration error.
+fn wire_u16(n: usize) -> Result<u16, NetError> {
+    u16::try_from(n)
+        .map_err(|_| NetError::Protocol(ProtocolError::BadConfig("x-pool exceeds u16 packet ids")))
 }
 
-impl XState {
-    pub fn new(cfg: &SessionConfig, session: u64, me: u8) -> Self {
+/// How a session ended on one node: its outcome (completed or cleanly
+/// aborted), or the infrastructure error that ended it.
+pub(crate) type Ended = Result<SessionOutcome, NetError>;
+
+/// What a role's step returns: `Some` outcome once the session has ended.
+pub(crate) type Stepped = Result<Option<SessionOutcome>, NetError>;
+
+/// How a session `cfg` cannot run ends on node `me` before it starts: a
+/// clean abort when its x-pool outgrows the `u16` wire fields, an error
+/// for an invalid configuration. `None` when it can run.
+pub(crate) fn unrunnable(cfg: &SessionConfig, session: u64, me: u8) -> Option<Ended> {
+    if let Err(reason) = cfg.plan_bounds() {
+        return Some(Ok(SessionOutcome::aborted(session, me, cfg.n_packets(), reason, None)));
+    }
+    cfg.validate().err().map(|e| Err(e.into()))
+}
+
+/// What both role state machines hold and do alike: the reliable layer
+/// and replay windows, the x-pool with its erasures, the reception
+/// reports, the phase spans and the deadline.
+pub(crate) struct Core<T> {
+    pub t: SharedTransport<T>,
+    pub cfg: SessionConfig,
+    pub session: u64,
+    pub me: u8,
+    /// Every other node: the targets of this node's reliable frames.
+    pub peers: Vec<u8>,
+    /// All local randomness (x payloads; the plan seed and combos).
+    pub rng: StdRng,
+    pub rel: Reliable,
+    dedup: Dedup,
+    owners: Vec<usize>,
+    /// Drop decisions of the per-receiver erasure models, if configured
+    /// ([`SessionConfig::drop_models`]).
+    x_drops: Option<Vec<bool>>,
+    z_drops: Option<Vec<bool>>,
+    /// Payloads this node holds (own + received) by x id, as byte rows.
+    pub store: BTreeMap<usize, Vec<u8>>,
+    received: BTreeSet<usize>,
+    /// Every node's reception report, this node's own once sent.
+    pub reports: Vec<Option<Vec<u8>>>,
+    /// The phase the spans and the trace are in, and since when.
+    phase: &'static str,
+    entered: Instant,
+    pub deadline: Instant,
+}
+
+impl<T: Transport> Core<T> {
+    /// Sets up node `me`'s side of `session` as `role` (its trace name)
+    /// in `phase`, its deadline from now; `cfg` must be runnable.
+    pub fn new(
+        t: SharedTransport<T>,
+        session: u64,
+        cfg: SessionConfig,
+        seed: u64,
+        me: u8,
+        role: &'static str,
+        phase: &'static str,
+    ) -> Self {
+        let n = cfg.n_nodes;
         let owners = cfg.owners();
         // Fountain indices are capped by the fountain budget; the frame
         // carries them as u16.
         let z_len = (cfg.z_budget as usize).min(u16::MAX as usize + 1);
-        let x_drops = drop_pattern(cfg, session, me, DataKind::X, owners.len());
-        let z_drops = drop_pattern(cfg, session, me, DataKind::Z, z_len);
-        XState {
-            cfg: cfg.clone(),
-            session,
-            me,
+        crate::telemetry::trace_session_start(session, me, role);
+        crate::telemetry::trace_phase(session, me, phase);
+        Core {
+            peers: (0..n).filter(|&p| p != me).collect(),
+            rng: StdRng::seed_from_u64(seed),
+            rel: Reliable::with_policy(RetransmitPolicy {
+                initial_rto: cfg.retransmit,
+                cap: cfg.rto_cap,
+                max_attempts: cfg.max_attempts,
+                seed,
+            }),
+            dedup: Dedup::new(n as usize),
+            x_drops: drop_pattern(&cfg, session, me, DataKind::X, owners.len()),
+            z_drops: drop_pattern(&cfg, session, me, DataKind::Z, z_len),
             owners,
-            x_drops,
-            z_drops,
             store: BTreeMap::new(),
             received: BTreeSet::new(),
+            reports: vec![None; n as usize],
+            phase,
+            entered: crate::rt::now(),
+            deadline: crate::rt::now() + cfg.deadline,
+            t,
+            cfg,
+            session,
+            me,
         }
     }
 
-    /// Receiver-side data-plane erasure decision for this node: the
-    /// configured model's chain when present, the iid hash otherwise.
-    /// Ids beyond a chain's horizon are dropped (they can only come from
-    /// a spoofed or corrupt frame).
+    pub fn n_packets(&self) -> usize {
+        self.owners.len()
+    }
+
+    /// This node's data-plane erasure decision: the configured model's
+    /// chain when present (ids beyond its horizon can only come from a
+    /// spoofed or corrupt frame, and drop), the iid hash otherwise.
     pub fn drops(&self, kind: DataKind, id: u64) -> bool {
         let pattern = match kind {
             DataKind::X => &self.x_drops,
@@ -476,84 +540,113 @@ impl XState {
         }
     }
 
-    pub fn n_packets(&self) -> usize {
-        self.owners.len()
+    /// Acks and de-duplicates `frame` and handles what both roles handle
+    /// alike; anything else goes back to the role, with its freshness.
+    pub fn receive(&mut self, frame: Frame) -> Result<Option<(Frame, bool)>, NetError> {
+        let fresh = self.dedup.admit(&self.t, &frame)?;
+        match frame.payload {
+            NetPayload::Ack { seq } => self.rel.on_ack(frame.sender, seq),
+            // Stored unless malformed (wrong owner, impersonated sender,
+            // wrong payload length — the UDP port is an open attack
+            // surface) or erased by the configured injection.
+            NetPayload::Proto(Message::XPacket { id, owner, payload }) => {
+                let id = id as usize;
+                if self.owners.get(id) == Some(&(owner as usize))
+                    && owner == frame.sender
+                    && owner != self.me
+                    && payload.len() == self.cfg.payload_len
+                    && !self.drops(DataKind::X, id as u64)
+                {
+                    self.store.insert(id, payload);
+                    self.received.insert(id);
+                }
+            }
+            // Counted when fresh, well-formed and its sender's own.
+            NetPayload::Proto(Message::ReceptionReport { terminal, n_packets, bitmap }) => {
+                if fresh
+                    && terminal == frame.sender
+                    && (terminal as usize) < self.reports.len()
+                    && n_packets as usize == self.n_packets()
+                {
+                    self.reports[terminal as usize] = Some(bitmap);
+                }
+            }
+            _ => return Ok(Some((frame, fresh))),
+        }
+        Ok(None)
     }
 
     /// Broadcasts this node's share of the x-pool (plain,
     /// unacknowledged: erasures are the point).
-    pub fn broadcast_own<T: Transport>(
-        &mut self,
-        t: &SharedTransport<T>,
-        rel: &mut Reliable,
-        rng: &mut StdRng,
-    ) -> std::io::Result<()> {
+    pub fn broadcast_own(&mut self) -> Result<(), NetError> {
         for (id, &o) in self.owners.iter().enumerate() {
             if o != self.me as usize {
                 continue;
             }
-            let payload = random_payload_bytes(self.cfg.payload_len, rng);
-            // In range: the state machines abort (PlanOverflow) before
-            // broadcasting when the x-pool exceeds the u16 id space.
-            let id16 = u16::try_from(id).expect("x ids bounded by plan_bounds");
-            let msg = Message::XPacket { id: id16, owner: self.me, payload: payload.clone() };
+            let payload = random_payload_bytes(self.cfg.payload_len, &mut self.rng);
+            let msg =
+                Message::XPacket { id: wire_u16(id)?, owner: self.me, payload: payload.clone() };
             self.store.insert(id, payload);
-            let frame = Frame {
-                flags: 0,
-                sender: self.me,
-                session: self.session,
-                seq: rel.next_seq(),
-                payload: NetPayload::Proto(msg),
-            };
-            t.broadcast(&frame)?;
+            let seq = self.rel.next_seq();
+            let (sender, session, payload) = (self.me, self.session, NetPayload::Proto(msg));
+            self.t.broadcast(&Frame { flags: 0, sender, session, seq, payload })?;
         }
         Ok(())
     }
 
-    /// Validates and stores an incoming x-packet; silently drops
-    /// anything malformed (wrong owner, impersonated sender, wrong
-    /// payload length — the UDP port is an open attack surface) and
-    /// anything the configured erasure injection erases.
-    pub fn on_frame(&mut self, frame: &Frame) {
-        let NetPayload::Proto(Message::XPacket { id, owner, payload }) = &frame.payload else {
-            return;
-        };
-        let id = *id as usize;
-        if id < self.owners.len()
-            && self.owners[id] == *owner as usize
-            && *owner == frame.sender
-            && *owner != self.me
-            && payload.len() == self.cfg.payload_len
-            && !self.drops(DataKind::X, id as u64)
-        {
-            self.store.insert(id, payload.clone());
-            self.received.insert(id);
+    /// Reliably sends every peer this node's reception report (own
+    /// packets are implicit in the ownership map), and keeps it.
+    pub fn send_report(&mut self) -> Result<(), NetError> {
+        let bitmap = bitmap_from_received(self.n_packets(), self.received.iter().copied());
+        self.reports[self.me as usize] = Some(bitmap.clone());
+        let n_packets = wire_u16(self.n_packets())?;
+        let msg = Message::ReceptionReport { terminal: self.me, n_packets, bitmap };
+        self.rel.send(&self.t, self.session, NetPayload::Proto(msg), &self.peers)?;
+        Ok(())
+    }
+
+    /// Enters `phase`, if new: the last phase's span lands in its
+    /// `phase.<role>.*` histogram, and the trace records the new one.
+    pub fn enter(&mut self, role: &str, phase: &'static str) {
+        if phase != self.phase {
+            self.close_span(role);
+            self.entered = crate::rt::now();
+            self.phase = phase;
+            crate::telemetry::trace_phase(self.session, self.me, phase);
         }
     }
 
-    /// This node's reception-report bitmap (received packets only; own
-    /// packets are implicit in the ownership map).
-    pub fn report_bitmap(&self) -> Vec<u8> {
-        bitmap_from_received(self.owners.len(), self.received.iter().copied())
+    /// Settles the current phase's span in its histogram.
+    pub fn close_span(&self, role: &str) {
+        let span = self.entered.elapsed().as_micros() as u64;
+        crate::telemetry::observe(crate::telemetry::phase_metric(role, self.phase), span);
     }
-}
 
-/// Records a peer's reception report if it is fresh and well-formed.
-pub(crate) fn accept_report(
-    reports: &mut [Option<Vec<u8>>],
-    n_packets: usize,
-    fresh: bool,
-    sender: u8,
-    terminal: u8,
-    np: u16,
-    bitmap: Vec<u8>,
-) {
-    if fresh
-        && terminal == sender
-        && (terminal as usize) < reports.len()
-        && np as usize == n_packets
-    {
-        reports[terminal as usize] = Some(bitmap);
+    /// The outcome of a cleanly aborted session, settled in the trace.
+    pub fn aborted(&self, reason: AbortReason, trace: Option<SessionTrace>) -> SessionOutcome {
+        crate::telemetry::trace_abort(self.session, self.me, reason.kind());
+        crate::telemetry::trace_end(self.session, self.me, false, 0);
+        SessionOutcome::aborted(self.session, self.me, self.n_packets(), reason, trace)
+    }
+
+    /// The outcome a derived plan gives this node.
+    pub fn outcome(&self, (m, l): (usize, usize), secret: Vec<Payload>) -> SessionOutcome {
+        let (session, node, n_packets) = (self.session, self.me, self.n_packets());
+        SessionOutcome { session, node, l, m, n_packets, secret, abort: None, trace: None }
+    }
+
+    /// The earliest of the deadline, a retransmission and `timer`.
+    pub fn wake(&self, timer: Option<Instant>) -> Instant {
+        [self.rel.next_due(), timer].into_iter().flatten().fold(self.deadline, Instant::min)
+    }
+
+    /// Every step's epilogue: retransmits what is due, then names why
+    /// the session must end, if a peer's attempts or the deadline ran out.
+    pub fn settle(&mut self, now: Instant) -> Result<Option<AbortReason>, NetError> {
+        if let Err(u) = self.rel.tick(&self.t, now)? {
+            return Ok(Some(AbortReason::Unreachable { missing: u.missing, attempts: u.attempts }));
+        }
+        Ok((now >= self.deadline).then_some(AbortReason::Deadline { phase: self.phase }))
     }
 }
 
@@ -668,7 +761,7 @@ pub struct SessionOutcome {
 
 /// The coordinator's record of how a session's plan came to be (or why
 /// it never did).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct SessionTrace {
     /// The announced plan seed (0 when the session aborted before the
     /// plan was drawn — see `abort`).
@@ -758,6 +851,8 @@ impl Reconstructor {
             let row = &plan.rows[r];
             let acc = y.row_mut(r);
             for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
+                // lint: allow(panic): documented contract — a plan derived
+                // from `me`'s own report decodes only payloads `me` holds.
                 let p = store.get(&j).expect("decodable row references a payload this node holds");
                 kernel::axpy(acc, p, c.value());
             }

@@ -29,10 +29,10 @@
 //! The kernel's numbering matches the shards' only while the whole
 //! group is bound, so [`run_sharded_serve`] keeps every socket open
 //! until all workers have stopped. A frame that arrives before the last
-//! socket binds can land on a sibling: a frame of a session the sibling
-//! does not hold counts there in `demux.orphans`, and a `Start` opens
-//! its session there, where it misses its later frames and aborts at
-//! its deadline. Start a daemon before its coordinators.
+//! socket binds falls back to the kernel's hash and can land on a
+//! sibling, which counts it in `demux.orphans`. That holds for a `Start`
+//! too: a shard admits only the sessions it owns, so the coordinator's
+//! retransmitted `Start` reaches the owner once the group is bound.
 //!
 //! # Per-shard state & admission alignment
 //!
@@ -210,7 +210,7 @@ pub fn run_sharded_serve(
                 let t = UdpTransport::new(sock, peers.clone(), node);
                 let signal = StopSignal { flag: stop.clone(), wake: wake.clone() };
                 let opts = opts.clone();
-                s.spawn(move || shard_worker(shard, t, opts, per_shard, signal))
+                s.spawn(move || shard_worker((shard, workers), t, opts, per_shard, signal))
             })
             .collect();
         while !stop.load(Ordering::Acquire) && !handles.iter().all(|h| h.is_finished()) {
@@ -239,7 +239,7 @@ pub fn run_sharded_serve(
 
 /// One worker: its own executor, reactor, registry, flow budget.
 fn shard_worker(
-    shard: usize,
+    (shard, workers): (usize, usize),
     t: UdpTransport,
     opts: ShardedServeOptions,
     limits: ServeLimits,
@@ -252,6 +252,7 @@ fn shard_worker(
         // post-run send-error count.
         let tap = shared.clone();
         let mut server = Server::new(shared, opts.cfg.clone(), opts.seed, limits);
+        server.set_shard(shard, workers);
         let handle = server.handle();
         let mut outcomes_rx = server.outcomes();
         rt::spawn(async move {

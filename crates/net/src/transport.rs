@@ -20,10 +20,10 @@
 //!
 //! Both transports integrate with the waker-based executor in
 //! [`crate::rt`]: a simulated delivery wakes exactly the receiving
-//! node's pump, and the UDP transport — which has no readiness
-//! notification without a reactor — bridges the gap by registering a
-//! short re-poll timer whose interval backs off adaptively while the
-//! socket is quiet. Idle nodes therefore cost (nearly) zero CPU.
+//! node's receive loop, and a datagram wakes it through the runtime's
+//! epoll reactor — or, off Linux and under the virtual clock, through a
+//! re-poll timer that backs off while the socket is quiet
+//! (`net.udp.repoll_arms`). Idle nodes therefore cost (nearly) zero CPU.
 //!
 //! # Send errors
 //!
@@ -124,10 +124,10 @@ pub trait Transport {
     }
 }
 
-/// Shared handle so the receive pump and many session tasks can use one
-/// transport (single-threaded runtime ⇒ `Rc<RefCell>`). Also carries
-/// the node's [`FlowBudget`]: every session cloned off one transport
-/// shares one AIMD window over its unACKed reliable frames.
+/// Shared handle so the receive loop and every session's state machine
+/// can use one transport (single-threaded runtime ⇒ `Rc<RefCell>`).
+/// Also carries the node's [`FlowBudget`]: every session cloned off one
+/// transport shares one AIMD window over its unACKed reliable frames.
 pub struct SharedTransport<T> {
     inner: Rc<RefCell<T>>,
     flow: crate::reliable::SharedFlow,

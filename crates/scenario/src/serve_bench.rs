@@ -255,7 +255,37 @@ impl ServeWaveResult {
 pub fn run_serve_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioError> {
     spec.validate().map_err(ScenarioError::Invalid)?;
     let rcvbuf_before = udp_rcvbuf_errors();
-    let mut r = if spec.workers > 1 { run_sharded_wave(spec)? } else { run_single_wave(spec)? };
+    let n = spec.terminals as usize;
+    let mut r = match &spec.backend {
+        _ if spec.workers > 1 => run_sharded_wave(spec)?,
+        ServeBackend::UdpLoopback => {
+            let net = |e| ScenarioError::Net(NetError::Io(e));
+            let socks: Vec<AsyncUdpSocket> = (0..n)
+                .map(|_| AsyncUdpSocket::bind("127.0.0.1:0"))
+                .collect::<io::Result<_>>()
+                .map_err(net)?;
+            let addrs: Vec<std::net::SocketAddr> =
+                socks.iter().map(|s| s.local_addr()).collect::<io::Result<_>>().map_err(net)?;
+            let transports = socks
+                .into_iter()
+                .enumerate()
+                .map(|(i, s)| UdpTransport::new(s, addrs.clone(), i as u8))
+                .collect();
+            run_single_wave(spec, transports)?
+        }
+        ServeBackend::Sim { faults } => {
+            let net = SimNet::with_faults(
+                IidMedium::symmetric(n, 0.0, spec.seed),
+                n,
+                *faults,
+                thinair_netsim::splitmix64(spec.seed ^ 0xFA),
+                0,
+            );
+            // The transports hold the hub alive; the `SimNet` handle
+            // itself can drop.
+            run_single_wave(spec, (0..n).map(|i| net.transport(i as u8)).collect())?
+        }
+    };
     r.udp_rcvbuf_errors = udp_rcvbuf_errors().zip(rcvbuf_before).map(|(a, b)| a.saturating_sub(b));
     Ok(r)
 }
@@ -271,9 +301,12 @@ fn udp_rcvbuf_errors() -> Option<u64> {
     values.split_whitespace().nth(at)?.parse().ok()
 }
 
-/// The single-runtime wave: coordinator and daemons co-scheduled on
-/// this thread's executor.
-fn run_single_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioError> {
+/// The single-runtime wave over `transports`, one per roster slot:
+/// coordinator and daemons co-scheduled on this thread's executor.
+fn run_single_wave<T: Transport + 'static>(
+    spec: &ServeWaveSpec,
+    transports: Vec<T>,
+) -> Result<ServeWaveResult, ScenarioError> {
     // The wave owns the driving thread's telemetry: reset at the start
     // so the snapshot taken after the wave is a pure per-wave interval
     // (waves on other threads are independent — the registry is
@@ -281,39 +314,7 @@ fn run_single_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErro
     telemetry::reset();
     telemetry::set_timing(true);
     let cfg = spec.session_config();
-    let n = spec.terminals as usize;
 
-    // Build per-node transports for the chosen backend.
-    let transports: Vec<DynTransport> = match &spec.backend {
-        ServeBackend::UdpLoopback => {
-            let socks: Vec<AsyncUdpSocket> = (0..n)
-                .map(|_| AsyncUdpSocket::bind("127.0.0.1:0"))
-                .collect::<io::Result<_>>()
-                .map_err(|e| ScenarioError::Net(NetError::Io(e)))?;
-            let addrs: Vec<std::net::SocketAddr> = socks
-                .iter()
-                .map(|s| s.local_addr())
-                .collect::<io::Result<_>>()
-                .map_err(|e| ScenarioError::Net(NetError::Io(e)))?;
-            socks
-                .into_iter()
-                .enumerate()
-                .map(|(i, s)| DynTransport::Udp(UdpTransport::new(s, addrs.clone(), i as u8)))
-                .collect()
-        }
-        ServeBackend::Sim { faults } => {
-            let net = SimNet::with_faults(
-                IidMedium::symmetric(n, 0.0, spec.seed),
-                n,
-                *faults,
-                thinair_netsim::splitmix64(spec.seed ^ 0xFA),
-                0,
-            );
-            // The transports hold the hub alive; the `SimNet` handle
-            // itself can drop.
-            (0..n).map(|i| DynTransport::Sim(net.transport(i as u8))).collect()
-        }
-    };
     let (coordinator, daemons, taps) = build_nodes(transports, &cfg, spec);
 
     let handles: Vec<_> = daemons.iter().map(|d| d.handle()).collect();
@@ -459,13 +460,13 @@ fn audit_wave(
 /// remaining roster slot, and shared "taps" for reading every node's
 /// send-error counters after the wave.
 #[allow(clippy::type_complexity)]
-fn build_nodes(
-    transports: Vec<DynTransport>,
+fn build_nodes<T: Transport + 'static>(
+    transports: Vec<T>,
     cfg: &SessionConfig,
     spec: &ServeWaveSpec,
-) -> (Node<DynTransport>, Vec<Server<DynTransport>>, Vec<SharedTransport<DynTransport>>) {
+) -> (Node<T>, Vec<Server<T>>, Vec<SharedTransport<T>>) {
     let limits = wave_limits(spec);
-    let shared: Vec<SharedTransport<DynTransport>> =
+    let shared: Vec<SharedTransport<T>> =
         transports.into_iter().map(SharedTransport::new).collect();
     let mut nodes = shared.iter().cloned();
     let coordinator = Node::new_shared(nodes.next().expect("nonempty roster"));
@@ -709,72 +710,6 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
         naive_polls,
         polls_saved: naive_polls.saturating_sub(metrics.task_polls),
     })
-}
-
-/// A tiny enum-dispatch transport so one wave driver covers both
-/// backends (the offline build has no `Box<dyn Transport>` need beyond
-/// this file). Holds the transports *bare*: the single
-/// `SharedTransport<DynTransport>` wrapper `build_nodes` adds is the
-/// only shared/borrow layer on the frame path.
-pub enum DynTransport {
-    /// Real-socket endpoint.
-    Udp(UdpTransport),
-    /// Simulated endpoint.
-    Sim(thinair_net::SimTransport<IidMedium>),
-}
-
-impl Transport for DynTransport {
-    fn local_node(&self) -> u8 {
-        match self {
-            DynTransport::Udp(t) => t.local_node(),
-            DynTransport::Sim(t) => t.local_node(),
-        }
-    }
-
-    fn node_count(&self) -> usize {
-        match self {
-            DynTransport::Udp(t) => t.node_count(),
-            DynTransport::Sim(t) => t.node_count(),
-        }
-    }
-
-    fn send_to(&mut self, to: u8, frame: &thinair_net::Frame) -> io::Result<()> {
-        match self {
-            DynTransport::Udp(t) => t.send_to(to, frame),
-            DynTransport::Sim(t) => t.send_to(to, frame),
-        }
-    }
-
-    fn broadcast(&mut self, frame: &thinair_net::Frame) -> io::Result<()> {
-        match self {
-            DynTransport::Udp(t) => t.broadcast(frame),
-            DynTransport::Sim(t) => t.broadcast(frame),
-        }
-    }
-
-    fn poll_recv(
-        &mut self,
-        cx: &mut std::task::Context<'_>,
-    ) -> std::task::Poll<io::Result<thinair_net::Frame>> {
-        match self {
-            DynTransport::Udp(t) => t.poll_recv(cx),
-            DynTransport::Sim(t) => t.poll_recv(cx),
-        }
-    }
-
-    fn invalid_frames(&self) -> u64 {
-        match self {
-            DynTransport::Udp(t) => t.invalid_frames(),
-            DynTransport::Sim(t) => t.invalid_frames(),
-        }
-    }
-
-    fn send_errors(&self) -> u64 {
-        match self {
-            DynTransport::Udp(t) => t.send_errors(),
-            DynTransport::Sim(t) => t.send_errors(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
