@@ -58,19 +58,22 @@ const DETERMINISM_FILES: [&str; 5] = [
 /// `rt::now()`, so only the wall-clock half of the ban applies. A wall
 /// clock there makes a virtual-time wait spin on a deadline already in
 /// the virtual past.
-const VIRTUAL_CLOCK_FILES: [&str; 6] = [
+const VIRTUAL_CLOCK_FILES: [&str; 7] = [
     "crates/net/src/coordinator.rs",
     "crates/net/src/demux.rs",
     "crates/net/src/node.rs",
     "crates/net/src/reliable.rs",
     "crates/net/src/serve.rs",
+    "crates/net/src/session.rs",
     "crates/net/src/terminal.rs",
 ];
 
-/// Wall-clock reads, banned in both file sets above.
-const WALL_CLOCK_BANNED: [(&str, &str); 2] = [
+/// Wall-clock reads, banned in both file sets above. `Instant::elapsed`
+/// reads the wall clock implicitly.
+const WALL_CLOCK_BANNED: [(&str, &str); 3] = [
     ("Instant::now", "wall-clock read on a deterministic path"),
     ("SystemTime", "wall-clock read on a deterministic path"),
+    (".elapsed(", "implicit wall-clock read on a deterministic path"),
 ];
 
 /// Further tokens banned in determinism-critical files, with the reason

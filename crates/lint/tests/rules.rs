@@ -34,6 +34,7 @@ fn seeded_fixtures_fire_each_rule_at_exact_sites() {
             ("determinism", "crates/net/src/node.rs", 5),
             ("panic-free-hot-path", "crates/net/src/serve.rs", 5),
             ("unsafe-confinement", "crates/net/src/serve.rs", 14),
+            ("determinism", "crates/net/src/session.rs", 6),
             ("unsafe-confinement", "crates/net/src/sys.rs", 10),
             ("panic-free-hot-path", "crates/net/src/terminal.rs", 5),
             ("wire-tags", "crates/net/tests/frame_fuzz.rs", 1),
@@ -53,6 +54,9 @@ fn seeded_fixtures_fire_each_rule_at_exact_sites() {
     assert!(msg("determinism", 5).contains("Instant::now"));
     let virtual_clock = findings.iter().find(|f| f.file == "crates/net/src/node.rs");
     assert!(virtual_clock.is_some_and(|f| f.msg.contains("rt::now()")));
+    // `Instant::elapsed` reads the wall clock without naming it.
+    let implicit = findings.iter().find(|f| f.file == "crates/net/src/session.rs");
+    assert!(implicit.is_some_and(|f| f.msg.contains("`.elapsed(`")));
     assert!(msg("telemetry-names", 4).contains("`BadName`"));
     assert!(msg("telemetry-names", 7).contains("multiple kinds (counter, hist)"));
     assert!(msg("unsafe-confinement", 10).contains("SAFETY"));
@@ -70,6 +74,7 @@ fn allowlisted_occurrences_stay_silent() {
     let findings = thinair_lint::check_workspace(&fixture_root()).expect("fixture tree readable");
     let silent = [
         ("determinism", "crates/net/src/chaos.rs", 11), // HashMap, annotated
+        ("determinism", "crates/net/src/session.rs", 11), // .elapsed(), annotated
         ("panic-free-hot-path", "crates/net/src/serve.rs", 10), // .expect, annotated
         ("panic-free-hot-path", "crates/net/src/terminal.rs", 10), // .unwrap, annotated
         ("unsafe-confinement", "crates/net/src/serve.rs", 19), // unsafe, annotated

@@ -2,11 +2,13 @@
 //!
 //! Drives one group session over any [`Transport`]:
 //!
-//! 1. **Start barrier** — waits its turn in the node's admission FIFO
-//!    ([`crate::reliable::FlowBudget::admit`], awaited by
-//!    [`crate::node::Node::coordinate`]), then reliably delivers
-//!    `Start{digest}` to every terminal, so sockets are live and
-//!    configurations agree before any data-plane packet is spent.
+//! 1. **Start barrier** — reliably delivers `Start{digest}` to every
+//!    terminal, so sockets are live and configurations agree before any
+//!    data-plane packet is spent. The `Start` goes out once no open
+//!    waits ahead of it in the node's flow budget and the window has
+//!    room ([`crate::reliable::FlowBudget::open`]); until then the
+//!    machine waits in the budget's FIFO, and the node's receive loop
+//!    steps it when its turn comes.
 //! 2. **Phase 1** — broadcasts its share of x-packets (plain,
 //!    unacknowledged: erasures are the point), waits [`SessionConfig::
 //!    x_settle`], then reliably broadcasts its reception report and
@@ -34,6 +36,7 @@ use thinair_gf::{kernel, PayloadPlane};
 
 use crate::demux::Machine;
 use crate::frame::{Frame, NetPayload};
+use crate::reliable::SharedFlow;
 use crate::session::{derive_plan, AbortReason, Core, Ended, NetError, SessionConfig, Stepped};
 use crate::session::{SessionOutcome, SessionTrace};
 use crate::transport::{SharedTransport, Transport};
@@ -41,7 +44,9 @@ use crate::transport::{SharedTransport, Transport};
 /// The first phase, which a session waiting for admission is already in.
 const START_BARRIER: &str = "start barrier";
 
+/// A session's phase; `Queued` waits in the flow budget's FIFO.
 enum Phase {
+    Queued,
     StartBarrier { start_seq: u32 },
     XSettle { until: Instant },
     AwaitReports,
@@ -52,7 +57,7 @@ enum Phase {
 impl Phase {
     fn name(&self) -> &'static str {
         match self {
-            Phase::StartBarrier { .. } => START_BARRIER,
+            Phase::Queued | Phase::StartBarrier { .. } => START_BARRIER,
             Phase::XSettle { .. } => "x settle",
             Phase::AwaitReports => "report collection",
             Phase::Fountain { .. } => "z fountain",
@@ -72,6 +77,9 @@ impl Phase {
 pub(crate) struct Coordinator<T> {
     core: Core<T>,
     phase: Phase,
+    /// The node's window, which every reliable frame of the session
+    /// charges and whose FIFO orders the `Start`s.
+    flow: SharedFlow,
     /// Terminals that signalled `Done`.
     done: BTreeSet<u8>,
     /// The z-packets the fountain combines, once the plan exists.
@@ -86,36 +94,44 @@ pub(crate) struct Coordinator<T> {
 
 impl<T: Transport> Coordinator<T> {
     /// Sets up one session of a runnable `cfg`
-    /// ([`crate::session::unrunnable`]), its deadline running from now.
-    /// `seed` feeds all local randomness (x payloads, the plan seed,
-    /// fountain coefficients).
-    pub(crate) fn new(t: SharedTransport<T>, session: u64, cfg: SessionConfig, seed: u64) -> Self {
+    /// ([`crate::session::unrunnable`]), its deadline running from now,
+    /// charging the node's `flow`: it sends `Start` at once if it may
+    /// ([`crate::reliable::FlowBudget::open`]), else it queues. `seed`
+    /// feeds all local randomness (x payloads, the plan seed, fountain
+    /// coefficients).
+    pub(crate) fn new(
+        t: SharedTransport<T>,
+        flow: SharedFlow,
+        session: u64,
+        cfg: SessionConfig,
+        seed: u64,
+    ) -> Result<Self, NetError> {
         let (me, send_errors_at_start) = (cfg.coordinator, t.send_errors());
-        Coordinator {
-            core: Core::new(t, session, cfg, seed, me, "coordinator", START_BARRIER),
-            // `start` sends the `Start` and records its seq.
-            phase: Phase::StartBarrier { start_seq: 0 },
+        let mut core = Core::new(t, session, cfg, seed, me, "coordinator", START_BARRIER);
+        core.rel.charge_to(flow.clone());
+        let mut coordinator = Coordinator {
+            core,
+            phase: Phase::Queued,
+            flow,
             done: BTreeSet::new(),
             z: PayloadPlane::default(),
             z_sent: 0,
             outcome: None,
             send_errors_at_start,
+        };
+        if coordinator.flow.borrow_mut().open(session) {
+            coordinator.start()?;
         }
+        Ok(coordinator)
     }
 
     /// Sends `Start` to every terminal, once the session is admitted.
-    pub(crate) fn start(&mut self) -> Result<(), NetError> {
+    fn start(&mut self) -> Result<(), NetError> {
         let c = &mut self.core;
         let start = NetPayload::Start { digest: c.cfg.digest() };
         let start_seq = c.rel.send(&c.t, c.session, start, &c.peers)?;
         self.phase = Phase::StartBarrier { start_seq };
         Ok(())
-    }
-
-    /// The outcome of a session whose deadline passed before its turn at
-    /// the admission FIFO came.
-    pub(crate) fn unadmitted(mut self) -> SessionOutcome {
-        self.abort(AbortReason::Deadline { phase: START_BARRIER })
     }
 
     /// Settles the trace's fountain length and send errors.
@@ -193,6 +209,7 @@ impl<T: Transport> Coordinator<T> {
     /// `Some` once the session has ended.
     fn progress(&mut self, now: Instant) -> Stepped {
         match self.phase {
+            Phase::Queued if self.flow.borrow_mut().take_turn(self.core.session) => self.start()?,
             Phase::StartBarrier { start_seq } if self.core.rel.acked(start_seq) => {
                 self.core.broadcast_own()?;
                 self.enter(Phase::XSettle { until: now + self.core.cfg.x_settle });

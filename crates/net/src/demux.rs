@@ -7,7 +7,8 @@
 //! frame one fate — a step of its session's machine, a TIME_WAIT re-ack
 //! (`demux.time_wait.reacks`), the owner's [`Policy`] (a daemon's
 //! admission), or an orphan (`demux.orphans`) — then steps every session
-//! whose wake is due, under one timer for all. Time comes only from
+//! whose wake is due, under one timer for all, and hands the pass to the
+//! policy (a node starts its queued opens there). Time comes only from
 //! [`rt::now`], so the loop runs unchanged under the virtual clock.
 
 use std::cell::{RefCell, RefMut};
@@ -112,8 +113,13 @@ impl Table {
     /// Steps `session`'s machine at a fresh clock reading (deadlines set
     /// late in a long pass must not bunch at its start) and re-indexes
     /// its wake; an ended session's route stays, unindexed, for the
-    /// policy to retire.
-    fn step(&mut self, session: u64, frame: Option<Frame>, now: Instant) -> Option<Ended> {
+    /// policy to retire. `None` when no route has it.
+    pub(crate) fn step(
+        &mut self,
+        session: u64,
+        frame: Option<Frame>,
+        now: Instant,
+    ) -> Option<Ended> {
         let r = self.routes.get_mut(&session)?;
         let ended = r.machine.step(frame, now.max(rt::now()));
         if ended.is_some() {
@@ -164,9 +170,9 @@ impl Table {
     }
 }
 
-/// What the owner of a receive loop decides. `()` is a node's: it claims
-/// no frame, arms no timer of its own, and hands each session's end to
-/// the `coordinate` call awaiting it.
+/// What the owner of a receive loop decides. The defaults are a node's:
+/// it claims no frame, arms no timer of its own, and hands each
+/// session's end to the `coordinate` call awaiting it.
 pub(crate) trait Policy {
     /// Takes a frame no route claims and TIME_WAIT does not answer;
     /// `false` leaves it an orphan.
@@ -195,8 +201,6 @@ pub(crate) trait Policy {
         Poll::Pending
     }
 }
-
-impl Policy for () {}
 
 /// How long the receive loop works through back-to-back batches before
 /// due timers (a load generator's next arrival, say) get their turn.
@@ -343,6 +347,9 @@ mod tests {
     use crate::transport::SimNet;
     use thinair_netsim::IidMedium;
 
+    /// The defaults alone: a node's loop without its admission FIFO.
+    impl Policy for () {}
+
     fn fin(session: u64) -> Frame {
         Frame { flags: FLAG_RELIABLE, sender: 0, session, seq: 3, payload: NetPayload::Fin }
     }
@@ -372,7 +379,7 @@ mod tests {
         (Box::new(Probe { steps: steps.clone(), wake }), steps)
     }
 
-    /// A node's loop (policy `()`): routed frames step their session's
+    /// A node's loop (the default policy): routed frames step their session's
     /// machine, a completed terminal's late `Fin` is re-acked until its
     /// deadline, and everything else is an orphan.
     #[test]

@@ -29,8 +29,9 @@
 //!   mirroring `thinair_core::transport` semantics on real I/O, with
 //!   wraparound-safe anti-replay windows on the receive side. Closed
 //!   loop since PR 7: RFC 6298-style per-peer RTO estimation, jittered
-//!   exponential backoff, and a node-wide AIMD in-flight budget
-//!   ([`reliable::FlowBudget`]) shared across sessions.
+//!   exponential backoff, and the AIMD in-flight budget
+//!   ([`reliable::FlowBudget`]) a coordinator's [`Node`] shares across
+//!   its sessions, whose FIFO orders their `Start`s.
 //! * [`session`] — shared session configuration, deterministic plan
 //!   re-derivation, erasure injection (iid hash or pluggable per-receiver
 //!   [`thinair_netsim::ErasureModel`] chains), secret reconstruction.

@@ -8,10 +8,18 @@
 //! admits nothing, so frames for unknown sessions are orphans.
 //! Terminals are [`crate::serve::Server`]s, which admit each session on
 //! its coordinator's `Start`.
+//!
+//! The node owns the one [`crate::reliable::FlowBudget`] its sessions
+//! charge. An open that finds the window full or other opens queued
+//! waits in the budget's FIFO with its route already open (its deadline
+//! in the wake index), and the receive loop starts the FIFO's head after
+//! each pass that leaves room.
+
+use std::time::Instant;
 
 use crate::coordinator::Coordinator;
-use crate::demux::{Demux, Machine};
-use crate::reliable::FlowBudget;
+use crate::demux::{Demux, Policy, Table};
+use crate::reliable::SharedFlow;
 use crate::rt;
 use crate::rt::chan::channel;
 use crate::session::{unrunnable, NetError, SessionConfig, SessionOutcome};
@@ -21,11 +29,12 @@ use crate::transport::{SharedTransport, Transport};
 pub struct Node<T> {
     t: SharedTransport<T>,
     demux: Demux,
+    flow: SharedFlow,
 }
 
 impl<T> Clone for Node<T> {
     fn clone(&self) -> Self {
-        Node { t: self.t.clone(), demux: self.demux.clone() }
+        Node { t: self.t.clone(), demux: self.demux.clone(), flow: self.flow.clone() }
     }
 }
 
@@ -38,7 +47,7 @@ impl<T: Transport + 'static> Node<T> {
     /// Wraps an already-shared transport (e.g. when a harness keeps its
     /// own handle to read counters after the node is done).
     pub fn new_shared(t: SharedTransport<T>) -> Self {
-        Node { t, demux: Demux::default() }
+        Node { t, demux: Demux::default(), flow: SharedFlow::default() }
     }
 
     /// Frames received for sessions nobody had open.
@@ -51,9 +60,10 @@ impl<T: Transport + 'static> Node<T> {
     /// fails; then each session, open or opened later, fails at once
     /// with [`NetError::Closed`].
     pub fn start_pump(&self) -> rt::JoinHandle<std::io::Result<()>> {
-        let (t, demux) = (self.t.clone(), self.demux.clone());
+        let mut node = self.clone();
         rt::spawn(async move {
-            let result = demux.run(&t, &mut ()).await;
+            let (t, demux) = (node.t.clone(), node.demux.clone());
+            let result = demux.run(&t, &mut node).await;
             if let Err(e) = &result {
                 eprintln!("thinair-net: receive pump failed: {e}");
             }
@@ -61,9 +71,11 @@ impl<T: Transport + 'static> Node<T> {
         })
     }
 
-    /// Runs one session as the coordinator: waits its turn in the flow
-    /// budget's admission FIFO, sends `Start`, and hands the session to
-    /// the receive loop ([`Node::start_pump`]) until it ends.
+    /// Runs one session as the coordinator: opens its route at once,
+    /// sending `Start` if no open waits ahead of it and the flow
+    /// budget's window has room, else queued in the budget's FIFO for
+    /// the receive loop ([`Node::start_pump`]) to start; the loop runs
+    /// it until it ends.
     ///
     /// # Panics
     /// Panics when `session` is already open on this node.
@@ -76,16 +88,26 @@ impl<T: Transport + 'static> Node<T> {
         if let Some(ended) = unrunnable(&cfg, session, cfg.coordinator) {
             return ended;
         }
-        let mut coordinator = Coordinator::new(self.t.clone(), session, cfg, seed);
-        // The start barrier begins with a turn in the flow budget's FIFO,
-        // which arms no timer: only the deadline (the wake before `Start`).
-        let admitted = rt::timeout_at(coordinator.wake(), FlowBudget::admit(&self.t.flow()));
-        if admitted.await.is_err() {
-            return Ok(coordinator.unadmitted());
-        }
-        coordinator.start()?;
+        let coordinator = Coordinator::new(self.t.clone(), self.flow.clone(), session, cfg, seed)?;
         let (done, mut ended) = channel();
         self.demux.table().open(session, Box::new(coordinator), rt::now(), Some(done));
         ended.recv().await.unwrap_or(Err(NetError::Closed))
+    }
+}
+
+impl<T: Transport + 'static> Policy for Node<T> {
+    /// Starts queued opens in arrival order while the window has room:
+    /// the FIFO's head takes its turn in a step of its machine, and a
+    /// head whose route has already ended just leaves the queue. Every
+    /// window change (ACK, release, loss cut, machine drop) happens in a
+    /// pass, so nothing else needs to look.
+    fn after_pass(&mut self, table: &mut Table, now: Instant) {
+        loop {
+            let Some(head) = self.flow.borrow().turn() else { return };
+            if let Some(ended) = table.step(head, None, now) {
+                self.finished(table, head, ended, now);
+            }
+            self.flow.borrow_mut().take_turn(head);
+        }
     }
 }

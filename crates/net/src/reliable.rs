@@ -27,18 +27,18 @@
 //!
 //! # Admission
 //!
-//! Every [`Reliable`] entry is on the wire and charged against the
-//! node's [`FlowBudget`]. Before a session sends its `Start`, it waits
-//! its turn in the budget's FIFO ([`FlowBudget::admit`]), arming no
-//! timer: whatever leaves room in the window wakes the head of the queue.
+//! A coordinator's [`crate::node::Node`] owns one [`FlowBudget`] and
+//! hands it to the [`Reliable`] of every session it opens, so each of
+//! their entries is on the wire and charged against it; terminals carry
+//! none. A session sends its `Start` at once only when no open waits
+//! ahead of it and the window has room; otherwise its id waits in the
+//! budget's FIFO, arming no timer, and the node's receive loop starts
+//! the head whenever a pass leaves room.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::future::Future;
 use std::io;
-use std::pin::Pin;
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 use std::time::{Duration, Instant};
 
 use crate::frame::{Frame, NetPayload, FLAG_RELIABLE};
@@ -99,31 +99,30 @@ pub fn backoff_delay(
 }
 
 /// Per-node AIMD budget over unACKed reliable frames, shared by every
-/// session multiplexed over one transport (the handle lives in
-/// [`SharedTransport`]). Under overload a saturated link would otherwise
-/// compound: more sessions ⇒ more retransmits ⇒ more queueing ⇒ more
-/// timeouts. The budget closes the loop — frames ACKed cleanly grow the
-/// window additively, retransmit timeouts halve it (at most once per
-/// RTO), and session opens wait their turn in a FIFO
-/// ([`FlowBudget::admit`]) while the window is full. Mid-session frames
-/// and retransmits are never blocked: a round past admission holds
-/// registry slots on every peer, so stalling its frames behind new
-/// launches would be a congestion collapse where demand only grows —
-/// they charge unconditionally (the window may over-commit) and the
-/// pressure throttles launches instead, so running sessions always
+/// session a coordinator's [`crate::node::Node`] opens (terminals carry
+/// none: they never send `Start`). Under overload a saturated link would
+/// otherwise compound: more sessions ⇒ more retransmits ⇒ more queueing
+/// ⇒ more timeouts. The budget closes the loop — frames ACKed cleanly
+/// grow the window additively, retransmit timeouts halve it (at most
+/// once per RTO), and session opens wait their turn in a FIFO of
+/// session ids ([`FlowBudget::open`]) while the window is full.
+/// Mid-session frames and retransmits are never blocked: a round past
+/// admission holds registry slots on every peer, so stalling its frames
+/// behind new launches would be a congestion collapse where demand only
+/// grows — they charge unconditionally (the window may over-commit) and
+/// the pressure throttles launches instead, so running sessions always
 /// drain the window back down.
 #[derive(Debug)]
 pub struct FlowBudget {
     cwnd: f64,
     in_flight: u64,
     last_cut: Option<Instant>,
-    /// Session opens waiting for window room, by ticket (arrival order).
-    /// A waiter's waker is taken when it is woken for a freed slot.
-    queue: BTreeMap<u64, Option<Waker>>,
+    /// Session opens waiting for window room, in arrival order.
+    queue: VecDeque<u64>,
 }
 
-/// The shared handle: one per node, cloned into every session's
-/// [`Reliable`] on first use.
+/// The shared handle: one per coordinator node, handed to the
+/// [`Reliable`] of every session it opens.
 pub type SharedFlow = Rc<RefCell<FlowBudget>>;
 
 impl Default for FlowBudget {
@@ -135,7 +134,7 @@ impl Default for FlowBudget {
 impl FlowBudget {
     /// A fresh budget at [`FLOW_INITIAL_CWND`].
     pub fn new() -> Self {
-        FlowBudget { cwnd: FLOW_INITIAL_CWND, in_flight: 0, last_cut: None, queue: BTreeMap::new() }
+        FlowBudget { cwnd: FLOW_INITIAL_CWND, in_flight: 0, last_cut: None, queue: VecDeque::new() }
     }
 
     /// Current congestion window, in frames.
@@ -154,16 +153,31 @@ impl FlowBudget {
         self.cwnd as u64
     }
 
-    /// Waits for one session open's turn at the window: completes once
-    /// every open queued before it has gone and the window has room. A
-    /// fresh open goes straight through only when nothing is queued;
-    /// otherwise it queues (`net.backoff.admit_deferred`) and arms no
-    /// timer: a release, a window increase or a departing waiter wakes
-    /// the head. The caller charges its `Start` in the poll the wait
-    /// completes, which passes the turn on while room remains. Dropping
-    /// a queued future leaves the queue and passes the turn on too.
-    pub(crate) fn admit(flow: &SharedFlow) -> Admit {
-        Admit { flow: flow.clone(), ticket: None }
+    /// A fresh session open: `true` when it may send its `Start` now,
+    /// which only an open with nothing queued ahead of it and room in
+    /// the window may. Otherwise it queues at the back
+    /// (`net.backoff.admit_deferred`) and arms no timer: the node's
+    /// receive loop, where every window change happens, starts it once
+    /// its [`FlowBudget::turn`] comes.
+    pub fn open(&mut self, session: u64) -> bool {
+        if self.queue.is_empty() && self.in_flight < self.window() {
+            return true;
+        }
+        crate::telemetry::counter_add("net.backoff.admit_deferred", 1);
+        self.queue.push_back(session);
+        false
+    }
+
+    /// The queued open whose turn it is: the queue's head, while the
+    /// window has room.
+    pub fn turn(&self) -> Option<u64> {
+        self.queue.front().copied().filter(|_| self.in_flight < self.window())
+    }
+
+    /// Takes `session`'s turn if it is its [`FlowBudget::turn`]: it leaves
+    /// the queue, and its `Start`, charged next, may go.
+    pub fn take_turn(&mut self, session: u64) -> bool {
+        self.turn() == Some(session) && self.queue.pop_front().is_some()
     }
 
     /// Charges a frame against the window unconditionally — the
@@ -172,14 +186,12 @@ impl FlowBudget {
     /// starve in-progress rounds behind new launches (open sessions
     /// could never finish while `Start`s kept grabbing freed slots —
     /// a congestion collapse where demand only ever grows). The
-    /// over-commit instead holds back [`FlowBudget::admit`], throttling
-    /// session *openings* until running work drains. An admitted open's
-    /// `Start` is charged here too, and wakes the next waiter if room
-    /// remains.
+    /// over-commit instead holds back the queued opens, throttling
+    /// session *openings* until running work drains. A `Start` whose
+    /// turn came is charged here too.
     pub fn force_charge(&mut self) {
         self.in_flight += 1;
         crate::telemetry::gauge_set("net.inflight", self.in_flight);
-        self.wake_head();
     }
 
     /// Returns one charged frame to the window (its ACK arrived or its
@@ -187,7 +199,6 @@ impl FlowBudget {
     pub fn release(&mut self) {
         self.in_flight = self.in_flight.saturating_sub(1);
         crate::telemetry::gauge_set("net.inflight", self.in_flight);
-        self.wake_head();
     }
 
     /// Additive increase: +1 frame per window's worth of clean ACKs.
@@ -196,7 +207,6 @@ impl FlowBudget {
             self.cwnd = (self.cwnd + 1.0 / self.cwnd).min(FLOW_MAX_CWND);
             crate::telemetry::counter_add("net.cwnd.increase", 1);
             crate::telemetry::gauge_set("net.cwnd", self.cwnd as u64);
-            self.wake_head();
         }
     }
 
@@ -222,55 +232,6 @@ impl FlowBudget {
             self.cwnd = (self.cwnd * 0.5).max(FLOW_MIN_CWND);
             crate::telemetry::counter_add("net.cwnd.cut", 1);
             crate::telemetry::gauge_set("net.cwnd", self.cwnd as u64);
-        }
-    }
-
-    /// Wakes the oldest waiting open when the window has room for it.
-    /// A woken open holds the turn until it runs or leaves, so further
-    /// calls before then wake nobody.
-    fn wake_head(&mut self) {
-        if self.in_flight < self.window() {
-            if let Some(w) = self.queue.first_entry().and_then(|mut head| head.get_mut().take()) {
-                w.wake();
-            }
-        }
-    }
-}
-
-/// Future of [`FlowBudget::admit`]: one session open's place in the
-/// node's admission FIFO.
-pub(crate) struct Admit {
-    flow: SharedFlow,
-    /// The open's place in the queue, while it waits.
-    ticket: Option<u64>,
-}
-
-impl Future for Admit {
-    type Output = ();
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let this = &mut *self;
-        let mut f = this.flow.borrow_mut();
-        if f.queue.keys().next() == this.ticket.as_ref() && f.in_flight < f.window() {
-            if let Some(t) = this.ticket.take() {
-                f.queue.remove(&t);
-            }
-            return Poll::Ready(());
-        }
-        let ticket = *this.ticket.get_or_insert_with(|| {
-            crate::telemetry::counter_add("net.backoff.admit_deferred", 1);
-            f.queue.keys().next_back().map_or(0, |last| last + 1)
-        });
-        f.queue.insert(ticket, Some(cx.waker().clone()));
-        Poll::Pending
-    }
-}
-
-impl Drop for Admit {
-    fn drop(&mut self) {
-        if let Some(t) = self.ticket.take() {
-            let mut f = self.flow.borrow_mut();
-            f.queue.remove(&t);
-            f.wake_head();
         }
     }
 }
@@ -346,7 +307,7 @@ pub struct Reliable {
     seed: u64,
     /// Per-peer smoothed RTT state (peers are dense u8 node ids).
     peers: BTreeMap<u8, PeerRtt>,
-    /// The node-wide budget, captured from the transport on first use.
+    /// The node-wide budget every entry is charged to, if any.
     flow: Option<SharedFlow>,
 }
 
@@ -426,18 +387,21 @@ impl Reliable {
         }
     }
 
+    /// The RTO of an entry still pending at `pending`: the slowest
+    /// pending peer's (don't spam the straggler).
+    fn pending_rto_us(&self, pending: &BTreeSet<u8>) -> u64 {
+        let slowest = pending.iter().map(|&p| self.peer_rto_us(p)).max();
+        slowest.unwrap_or_else(|| (self.initial_rto.as_micros() as u64).max(1))
+    }
+
     /// The delay until the next transmission of an entry at backoff
-    /// `level` (1 = freshly sent or just re-armed by partial progress).
-    /// The RTO is the slowest pending peer's (don't spam the
-    /// straggler); the jitter is keyed by the lowest pending peer id.
+    /// `level` (1 = freshly sent or just re-armed by partial progress),
+    /// from its [`Reliable::pending_rto_us`]; the jitter is keyed by the
+    /// lowest pending peer id.
     fn schedule(&self, pending: &BTreeSet<u8>, level: u32, seq: u32) -> Duration {
         let peer = pending.iter().next().copied().unwrap_or(0);
-        let rto_us = pending
-            .iter()
-            .map(|&p| self.peer_rto_us(p))
-            .max()
-            .unwrap_or_else(|| (self.initial_rto.as_micros() as u64).max(1));
-        let d = backoff_delay(Duration::from_micros(rto_us), level, self.cap, self.seed, peer, seq);
+        let rto = Duration::from_micros(self.pending_rto_us(pending));
+        let d = backoff_delay(rto, level, self.cap, self.seed, peer, seq);
         if level > 1 {
             crate::telemetry::counter_add("net.backoff.scheduled", 1);
             crate::telemetry::observe("net.backoff.delay_us", d.as_micros() as u64);
@@ -445,14 +409,16 @@ impl Reliable {
         d
     }
 
-    fn flow<T: Transport>(&mut self, t: &SharedTransport<T>) -> SharedFlow {
-        self.flow.get_or_insert_with(|| t.flow()).clone()
+    /// Charges every entry from now on to `flow`, a coordinator node's
+    /// window; without one, nothing is charged.
+    pub(crate) fn charge_to(&mut self, flow: SharedFlow) {
+        self.flow = Some(flow);
     }
 
     /// Sends `payload` reliably to `targets`, returning the assigned
-    /// sequence number. The frame charges the node's [`FlowBudget`]
+    /// sequence number. The frame charges the [`FlowBudget`], if any,
     /// unconditionally: a session's `Start` waits for its turn
-    /// ([`FlowBudget::admit`]) before it gets here, and a round past
+    /// ([`FlowBudget::open`]) before it gets here, and a round past
     /// admission must never stall behind new launches.
     pub fn send<T: Transport>(
         &mut self,
@@ -461,12 +427,14 @@ impl Reliable {
         payload: NetPayload,
         targets: &[u8],
     ) -> io::Result<u32> {
-        self.flow(t).borrow_mut().force_charge();
         let seq = self.next_seq();
         let frame = Frame { flags: FLAG_RELIABLE, sender: t.local_node(), session, seq, payload };
         let first_sent = crate::rt::now();
         for &to in targets {
             t.send_to(to, &frame)?;
+        }
+        if let Some(f) = &self.flow {
+            f.borrow_mut().force_charge();
         }
         let pending: BTreeSet<u8> = targets.iter().copied().collect();
         let due = first_sent + self.schedule(&pending, 1, seq);
@@ -547,7 +515,7 @@ impl Reliable {
     }
 
     /// Re-sends every due entry to its still-pending peers. A timeout
-    /// halves the node's shared window (which gates session opens).
+    /// halves the node's window, if any (which gates session opens).
     /// Returns an [`Unreachable`] error once an entry exhausts the
     /// attempt budget.
     pub fn tick<T: Transport>(
@@ -555,7 +523,6 @@ impl Reliable {
         t: &SharedTransport<T>,
         now: Instant,
     ) -> io::Result<Result<(), Unreachable>> {
-        let flow = self.flow(t);
         for i in 0..self.entries.len() {
             if now < self.entries[i].due {
                 continue;
@@ -574,15 +541,10 @@ impl Reliable {
             // pacing): blocking retransmits on the window would
             // livelock, since ACKing the frames already charged is the
             // only way in-flight load drains.
-            let rto = Duration::from_micros(
-                self.entries[i]
-                    .pending
-                    .iter()
-                    .map(|&p| self.peer_rto_us(p))
-                    .max()
-                    .unwrap_or_else(|| (self.initial_rto.as_micros() as u64).max(1)),
-            );
-            flow.borrow_mut().on_loss(now, rto);
+            if let Some(f) = &self.flow {
+                let rto = Duration::from_micros(self.pending_rto_us(&self.entries[i].pending));
+                f.borrow_mut().on_loss(now, rto);
+            }
             let e = &mut self.entries[i];
             e.attempts += 1;
             e.level += 1;
@@ -891,95 +853,5 @@ mod tests {
         let err = last.unwrap_err();
         assert_eq!(err.missing, vec![1]);
         assert!(err.attempts >= 3);
-    }
-
-    /// Session opens queue in arrival order on a full window, each
-    /// freed slot wakes and starts exactly one of them, a fresh open
-    /// never overtakes a queued one, and a waiter that leaves passes its
-    /// turn on. No timer is involved except the one `rt::timeout`.
-    #[test]
-    fn session_opens_wait_their_turn_in_fifo_order() {
-        rt::block_on(async {
-            let flow: SharedFlow = Rc::new(RefCell::new(FlowBudget::new()));
-            let window = flow.borrow().window();
-            for _ in 0..window {
-                flow.borrow_mut().force_charge();
-            }
-            let started = Rc::new(RefCell::new(String::new()));
-            let open = |name: char| {
-                let (flow, started) = (flow.clone(), started.clone());
-                rt::spawn(async move {
-                    FlowBudget::admit(&flow).await;
-                    flow.borrow_mut().force_charge();
-                    started.borrow_mut().push(name);
-                })
-            };
-            let release = || flow.borrow_mut().release();
-            let started_now = || started.borrow().clone();
-            let before = rt::metrics();
-
-            let tasks = vec![open('A'), open('B'), open('C')];
-            rt::yield_now().await;
-            assert_eq!(started_now(), "", "a full window admits nobody");
-            release();
-            rt::yield_now().await;
-            assert_eq!(started_now(), "A");
-            // D arrives after a slot frees but while B and C wait: it
-            // queues behind them, and B takes the slot.
-            let d = open('D');
-            release();
-            rt::yield_now().await;
-            assert_eq!(started_now(), "AB");
-            for expected in ["ABC", "ABCD"] {
-                let polls = rt::metrics().task_polls;
-                release();
-                rt::yield_now().await;
-                assert_eq!(started_now(), expected, "one release starts one open");
-                // This task and the open the release woke; no other waiter.
-                assert_eq!(rt::metrics().task_polls - polls, 2, "a release wakes one waiter");
-            }
-            for t in tasks.into_iter().chain([d]) {
-                t.await;
-            }
-            assert_eq!(flow.borrow().in_flight(), window, "each start charged its slot");
-
-            // E's wait is cut by its timeout: it leaves without a slot,
-            // and F behind it starts on the next release.
-            let e = {
-                let flow = flow.clone();
-                rt::spawn(async move {
-                    rt::timeout(Duration::from_millis(5), FlowBudget::admit(&flow)).await
-                })
-            };
-            let f = open('F');
-            assert_eq!(e.await, Err(rt::Elapsed));
-            assert_eq!(flow.borrow().in_flight(), window, "a timed-out open takes no slot");
-            release();
-            rt::yield_now().await;
-            assert_eq!(started_now(), "ABCDF");
-            f.await;
-
-            // G is woken for a freed slot but leaves before it runs:
-            // the turn passes to H.
-            let mut g = FlowBudget::admit(&flow);
-            std::future::poll_fn(|cx| {
-                assert!(Pin::new(&mut g).poll(cx).is_pending(), "G queues");
-                Poll::Ready(())
-            })
-            .await;
-            let h = open('H');
-            rt::yield_now().await;
-            release();
-            drop(g);
-            // Completes at once, so this timeout is cancelled, never fired.
-            rt::timeout(Duration::from_secs(5), h).await.expect("G's turn passes to H");
-            assert_eq!(started_now(), "ABCDFH");
-            assert_eq!(flow.borrow().in_flight(), window);
-
-            let queued = crate::telemetry::snapshot().counters["net.backoff.admit_deferred"];
-            assert_eq!(queued, 8, "all eight opens, A to H, queued");
-            let fires = rt::metrics().delta(&before).timer_fires;
-            assert_eq!(fires, 1, "only E's timeout fires while opens wait");
-        });
     }
 }

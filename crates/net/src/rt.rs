@@ -342,14 +342,6 @@ pub fn metrics() -> Metrics {
     m
 }
 
-/// Number of spawned tasks currently live (pending or unjoined).
-///
-/// # Panics
-/// Panics outside [`block_on`].
-pub fn live_tasks() -> usize {
-    current().live.get()
-}
-
 /// The runtime's notion of "now": the virtual clock under
 /// [`block_on_virtual`], the wall clock everywhere else (including
 /// outside any runtime).
@@ -854,8 +846,8 @@ pub fn timeout<F: Future + Unpin>(d: Duration, fut: F) -> Timeout<F> {
     timeout_at(now() + d, fut)
 }
 
-/// Limits `fut` to complete by `deadline` (a session's wait at the
-/// admission FIFO, say).
+/// Limits `fut` to complete by `deadline` (a harness's wait for a
+/// daemon's outcome stream, say).
 pub fn timeout_at<F: Future + Unpin>(deadline: Instant, fut: F) -> Timeout<F> {
     Timeout { fut, deadline, timer: None }
 }
@@ -1137,7 +1129,7 @@ mod tests {
             h1.await;
             h2.await;
             assert!(metrics().max_tasks >= 2);
-            assert_eq!(live_tasks(), 0);
+            assert_eq!(current().live.get(), 0);
         });
     }
 

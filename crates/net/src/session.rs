@@ -616,9 +616,10 @@ impl<T: Transport> Core<T> {
         }
     }
 
-    /// Settles the current phase's span in its histogram.
+    /// Settles the current phase's span in its histogram, on the
+    /// runtime's clock (virtual or wall).
     pub fn close_span(&self, role: &str) {
-        let span = self.entered.elapsed().as_micros() as u64;
+        let span = crate::rt::now().saturating_duration_since(self.entered).as_micros() as u64;
         crate::telemetry::observe(crate::telemetry::phase_metric(role, self.phase), span);
     }
 

@@ -6,8 +6,9 @@
 //! N worker threads, each with its own [`crate::rt`] executor (and
 //! epoll reactor), its own `SO_REUSEPORT` socket, its own
 //! [`crate::serve::Server`] (receive loop, routes, admission) and
-//! [`crate::transport::SharedTransport`] + flow budget — **no shared
-//! mutable protocol state between shards**.
+//! [`crate::transport::SharedTransport`] — **no shared mutable protocol
+//! state between shards**. (A daemon carries no flow budget: only a
+//! coordinator sends `Start`.)
 //!
 //! # Dispatch rule
 //!
@@ -237,7 +238,7 @@ pub fn run_sharded_serve(
     Ok(out)
 }
 
-/// One worker: its own executor, reactor, registry, flow budget.
+/// One worker: its own executor, reactor, registry.
 fn shard_worker(
     (shard, workers): (usize, usize),
     t: UdpTransport,

@@ -209,7 +209,7 @@ impl<T: Transport> Machine for Terminal<T> {
 
     /// The earliest real deadline: a retransmission due, the report
     /// instant, the session deadline. (A terminal never sends `Start`,
-    /// so none of its frames wait on the flow budget.)
+    /// so it carries no flow budget.)
     fn wake(&self) -> Instant {
         self.core.wake(self.report_at.filter(|_| !self.report_sent))
     }

@@ -126,31 +126,20 @@ pub trait Transport {
 
 /// Shared handle so the receive loop and every session's state machine
 /// can use one transport (single-threaded runtime ⇒ `Rc<RefCell>`).
-/// Also carries the node's [`FlowBudget`]: every session cloned off one
-/// transport shares one AIMD window over its unACKed reliable frames.
 pub struct SharedTransport<T> {
     inner: Rc<RefCell<T>>,
-    flow: crate::reliable::SharedFlow,
 }
 
 impl<T> Clone for SharedTransport<T> {
     fn clone(&self) -> Self {
-        SharedTransport { inner: self.inner.clone(), flow: self.flow.clone() }
+        SharedTransport { inner: self.inner.clone() }
     }
 }
 
 impl<T: Transport> SharedTransport<T> {
-    /// Wraps a transport (with a fresh node-wide flow budget).
+    /// Wraps a transport.
     pub fn new(t: T) -> Self {
-        SharedTransport {
-            inner: Rc::new(RefCell::new(t)),
-            flow: Rc::new(RefCell::new(crate::reliable::FlowBudget::new())),
-        }
-    }
-
-    /// The node-wide AIMD in-flight budget (shared across sessions).
-    pub fn flow(&self) -> crate::reliable::SharedFlow {
-        self.flow.clone()
+        SharedTransport { inner: Rc::new(RefCell::new(t)) }
     }
 
     /// This node's dense id.

@@ -21,11 +21,13 @@ use std::time::{Duration, Instant};
 use thinair_core::round::XSchedule;
 use thinair_net::driver::{run_sessions, task_seed};
 use thinair_net::frame::{Frame, NetPayload};
+use thinair_net::reliable::FLOW_INITIAL_CWND;
 use thinair_net::rt;
 use thinair_net::udp::AsyncUdpSocket;
 use thinair_net::{
-    bind_shard_sockets, run_sharded_serve, Node, ServeLimits, Server, SessionConfig,
-    SessionOutcome, ShardedServeOptions, SharedTransport, SimNet, Transport, UdpTransport,
+    bind_shard_sockets, run_sharded_serve, AbortReason, Node, ServeLimits, Server, SessionConfig,
+    SessionOutcome, ShardedServeOptions, SharedTransport, SimNet, Snapshot, Transport,
+    UdpTransport,
 };
 use thinair_netsim::IidMedium;
 
@@ -233,21 +235,80 @@ fn late_fin_is_reacked_by_a_sharded_daemon() {
     assert!(reacks > 0, "the owner shards' TIME_WAIT windows answered the late Fins");
 }
 
+/// Whether `snap` holds any flow-budget telemetry (`net.cwnd*`,
+/// `net.inflight`).
+fn has_flow_budget(snap: &Snapshot) -> bool {
+    let mut names = snap.counters.keys().chain(snap.gauges.keys()).chain(snap.hists.keys());
+    names.any(|n| n.starts_with("net.cwnd") || n == "net.inflight")
+}
+
+/// Only a coordinator carries a flow budget: a thread that hosts only
+/// `Server`s (terminals never send `Start`) records no window telemetry
+/// after a run, while the coordinator's thread does.
+#[test]
+fn a_daemon_carries_no_flow_budget() {
+    const SESSIONS: u64 = 4;
+    let cfg = cfg(3);
+    let (socks, addrs) = bind_roster(3);
+    let mut socks = socks.into_iter();
+    let coord_sock = socks.next().expect("socket");
+    let (daemon_socks, daemon_addrs, daemon_cfg): (Vec<_>, _, _) =
+        (socks.collect(), addrs.clone(), cfg.clone());
+    let daemons = std::thread::spawn(move || {
+        rt::block_on(async move {
+            let mut served = Vec::new();
+            for (i, s) in daemon_socks.into_iter().enumerate() {
+                let t = UdpTransport::new(s, daemon_addrs.clone(), i as u8 + 1);
+                let limits = ServeLimits::default();
+                let mut server =
+                    Server::new(SharedTransport::new(t), daemon_cfg.clone(), 5, limits);
+                served.push((server.handle(), server.outcomes()));
+                rt::spawn(server.run());
+            }
+            for (handle, outcomes) in &mut served {
+                for _ in 0..SESSIONS {
+                    outcomes.recv().await.expect("the daemon reports each session");
+                }
+                handle.stop();
+            }
+        });
+        thinair_net::telemetry::snapshot()
+    });
+    rt::block_on(async {
+        let coord = Node::new(UdpTransport::new(coord_sock, addrs, 0));
+        coord.start_pump();
+        for s in 1..=SESSIONS {
+            let out = coord.coordinate(s, cfg.clone(), task_seed(5, s, 0)).await;
+            assert!(out.expect("coordinator io ok").completed());
+        }
+    });
+    assert!(has_flow_budget(&thinair_net::telemetry::snapshot()), "the coordinator charged");
+    let daemon_snap = daemons.join().expect("daemon thread");
+    assert_eq!(daemon_snap.counters.get("serve.admitted"), Some(&(2 * SESSIONS)));
+    assert!(!has_flow_budget(&daemon_snap), "a daemon's thread recorded window telemetry");
+}
+
 /// A transport with scripted faults: with `lose_first_starts`, the
 /// first copy of every `Start` it sends to each peer is lost; with
 /// `frames_left`, its socket fails once it has received that many
-/// frames.
+/// frames. It logs when each session's first `Start` copy went out.
 struct Scripted<T> {
     inner: T,
     lose_first_starts: bool,
     /// `(session, peer)` pairs whose first `Start` copy was lost.
     lost: BTreeMap<(u64, u8), ()>,
     frames_left: Option<usize>,
+    starts: Starts,
 }
+
+/// `(session, virtual time)` of each session's first `Start` copy, in
+/// sending order.
+type Starts = Rc<RefCell<Vec<(u64, Instant)>>>;
 
 impl<T> Scripted<T> {
     fn new(inner: T) -> Self {
-        Scripted { inner, lose_first_starts: false, lost: BTreeMap::new(), frames_left: None }
+        let (lost, starts) = (BTreeMap::new(), Starts::default());
+        Scripted { inner, lose_first_starts: false, lost, frames_left: None, starts }
     }
 }
 
@@ -262,6 +323,9 @@ impl<T: Transport> Transport for Scripted<T> {
 
     fn send_to(&mut self, to: u8, frame: &Frame) -> io::Result<()> {
         let start = matches!(frame.payload, NetPayload::Start { .. });
+        if start && !self.starts.borrow().iter().any(|&(s, _)| s == frame.session) {
+            self.starts.borrow_mut().push((frame.session, rt::now()));
+        }
         if start && self.lose_first_starts && self.lost.insert((frame.session, to), ()).is_none() {
             return Ok(());
         }
@@ -449,6 +513,14 @@ fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
     }
     assert!(cost.task_polls <= 20, "{} task polls for one session on 3 nodes", cost.task_polls);
     assert!(cost.timer_fires <= 3, "{} timer fires for one session on 3 nodes", cost.timer_fires);
+    // Phase spans run on the virtual clock too: each node's x-settle
+    // window lasts exactly `x_settle`.
+    let settle = virtual_cfg().x_settle.as_micros() as u64;
+    let hists = thinair_net::telemetry::snapshot().hists;
+    for (span, nodes) in [("phase.coord.x_settle", 1), ("phase.term.x_settle", 2)] {
+        let h = &hists[span];
+        assert_eq!((h.count(), h.min(), h.max()), (nodes, settle, settle), "{span}");
+    }
     // What the session put on the wire: the frame count is the
     // protocol's, the bytes are mostly frame envelope. The fixed 25-byte
     // v1 envelope spent 1 342 bytes on these 40 frames.
@@ -463,13 +535,15 @@ fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
 
 /// A saturated start: 1 000 sessions launched at once fill the
 /// coordinator's flow budget at t = 0, so most `Start`s wait for a
-/// slot. A queued open arms no timer, and each node's receive loop arms
-/// one for all its sessions, so the whole run fires 5 timers (a timer
-/// per session fired ~3, a 10 ms recheck of every queued `Start` 4.5),
-/// and its polls are the coordinator tasks' plus a few loop passes per
-/// session. (One wake per freed slot is pinned by `reliable`'s FIFO
-/// unit test: at this size a wake-every-waiter herd costs no more
-/// polls.)
+/// slot. A queued open arms no timer and costs no poll until it ends:
+/// the node's receive loop starts it inline, and each node's loop arms
+/// one timer for all its sessions, so the whole run fires 5 timers (a
+/// timer per session fired ~3, a 10 ms recheck of every queued `Start`
+/// 4.5) and polls each `coordinate` call twice (a woken wait in the FIFO
+/// took a third) plus a few loop passes per session. (Arrival order,
+/// one start per freed slot and dead heads are pinned by
+/// `a_queued_open_past_its_deadline_leaves_the_queue` and the budget's
+/// property test.)
 #[test]
 fn a_saturated_start_queues_opens_without_timers() {
     const SESSIONS: u64 = 1_000;
@@ -496,5 +570,67 @@ fn a_saturated_start_queues_opens_without_timers() {
     let queued = counter("net.backoff.admit_deferred");
     assert!(queued >= 700, "only {queued} opens queued: the budget never filled");
     assert!(cost.timer_fires <= 5, "{} timer fires with {queued} queued opens", cost.timer_fires);
-    assert!(cost.task_polls <= 3_901, "{} task polls with {queued} queued opens", cost.task_polls);
+    assert!(cost.task_polls <= 2_047, "{} task polls with {queued} queued opens", cost.task_polls);
+}
+
+/// A queued open whose deadline passes before its turn ends as a clean
+/// `start barrier` deadline abort, with its partial trace and no `Start`
+/// sent, and its dead id leaves the FIFO on the next freed slot: the
+/// opens behind it start in arrival order, one per freed slot. Nobody
+/// answers here, so the window stays full of `Start`s until their
+/// senders' staggered deadlines (their RTO is longer) free one slot per
+/// millisecond from 100 ms on.
+#[test]
+fn a_queued_open_past_its_deadline_leaves_the_queue() {
+    let window = FLOW_INITIAL_CWND as u64;
+    let ms = Duration::from_millis;
+    let net = SimNet::new(IidMedium::symmetric(3, 0.0, 1), 3);
+    let coord_t = Scripted::new(net.transport(0));
+    let starts = coord_t.starts.clone();
+    // Sessions 1..=window fill the window; then A, B and C queue.
+    let (a, b, c) = (window + 1, window + 2, window + 3);
+    let fillers = (1..=window).map(|s| ms(99 + s));
+    let deadlines: Vec<Duration> = fillers.chain([ms(50), ms(10_000), ms(10_000)]).collect();
+    let (ends, t0) = rt::block_on_virtual(
+        async move {
+            let coord = Node::new(coord_t);
+            coord.start_pump();
+            let t0 = rt::now();
+            let tasks: Vec<_> = (1..)
+                .zip(deadlines)
+                .map(|(s, deadline)| {
+                    let node = coord.clone();
+                    let cfg = SessionConfig { retransmit: ms(1_000), deadline, ..virtual_cfg() };
+                    rt::spawn(async move {
+                        let out = node.coordinate(s, cfg, task_seed(3, s, 0)).await;
+                        (out.expect("virtual session runs"), rt::now())
+                    })
+                })
+                .collect();
+            let mut ends = Vec::new();
+            for t in tasks {
+                ends.push(t.await);
+            }
+            (ends, t0)
+        },
+        Instant::now(),
+        &mut || false,
+    );
+    let start_barrier = Some(AbortReason::Deadline { phase: "start barrier" });
+    let (out, ended) = &ends[a as usize - 1];
+    assert_eq!(out.abort, start_barrier);
+    assert_eq!(*ended - t0, ms(50), "A aborted at its own deadline");
+    let trace = out.trace.as_ref().expect("an aborted open carries its partial trace");
+    assert_eq!(trace.abort, start_barrier);
+    assert_eq!((trace.reports.len(), trace.z_sent), (3, 0));
+    assert!(trace.reports.iter().all(Vec::is_empty), "nothing was collected");
+    let starts = starts.borrow();
+    let after: Vec<(u64, Duration)> =
+        starts.iter().filter(|&&(s, _)| s > window).map(|&(s, at)| (s, at - t0)).collect();
+    assert_eq!(after, [(b, ms(100)), (c, ms(101))], "A never started; B and C took one slot each");
+    assert_eq!(starts.len() as u64, window + 2);
+    assert_eq!(counter("net.backoff.admit_deferred"), 3);
+    for (out, _) in &ends {
+        assert_eq!(out.abort, start_barrier, "session {}: nobody answered", out.session);
+    }
 }

@@ -2,7 +2,8 @@
 //! wraparound, duplicate/reordered/forged ACKs, replay-flood
 //! resistance of the receive-side dedup window, and the jittered
 //! exponential-backoff schedule (monotone bases, bounded jitter,
-//! byte-deterministic per `(seed, peer, seq)`).
+//! byte-deterministic per `(seed, peer, seq)`), and the flow budget's
+//! AIMD window and FIFO of session opens.
 
 use std::time::{Duration, Instant};
 
@@ -290,6 +291,77 @@ proptest! {
             prop_assert_eq!(a.cwnd().to_bits(), b.cwnd().to_bits(), "cwnd diverged at event {}", i);
             prop_assert_eq!(a.in_flight(), b.in_flight(), "in_flight diverged at event {}", i);
             prop_assert_eq!(a.window(), b.window());
+        }
+    }
+}
+
+/// One event a coordinator node's budget sees while session opens queue.
+#[derive(Clone, Copy, Debug)]
+enum OpenEvent {
+    Open,
+    Release,
+    CleanAck,
+    Loss,
+}
+
+fn arb_open_events() -> impl Strategy<Value = Vec<OpenEvent>> {
+    proptest::collection::vec(
+        prop_oneof![
+            3 => Just(OpenEvent::Open),
+            2 => Just(OpenEvent::Release),
+            2 => Just(OpenEvent::CleanAck),
+            1 => Just(OpenEvent::Loss),
+        ],
+        0..600,
+    )
+}
+
+proptest! {
+    /// Session opens start in arrival order, never while `in_flight ≥
+    /// window`, and a fresh open never overtakes a queued one — with the
+    /// budget driven as a node drives it: a fresh open asks
+    /// [`FlowBudget::open`], and after every event the receive loop
+    /// hands the [`FlowBudget::turn`] to the FIFO's head, whose `Start`
+    /// then charges the window, until the window is full or nothing
+    /// waits. `busy` mid-session frames are in flight from the start.
+    #[test]
+    fn opens_start_in_arrival_order_and_only_with_room(
+        busy in 0u64..300,
+        events in arb_open_events(),
+    ) {
+        let base = Instant::now();
+        let mut b = FlowBudget::new();
+        for _ in 0..busy {
+            b.force_charge();
+        }
+        // Opens are numbered in arrival order, from 1.
+        let (mut opened, mut started) = (0u64, 0u64);
+        for (i, e) in events.iter().enumerate() {
+            match e {
+                OpenEvent::Open => {
+                    opened += 1;
+                    let room = b.in_flight() < b.window();
+                    if b.open(opened) {
+                        prop_assert_eq!(started + 1, opened, "open {} overtook a queued one", opened);
+                        prop_assert!(room, "open {} started on a full window", opened);
+                        b.force_charge();
+                        started += 1;
+                    }
+                }
+                OpenEvent::Release => b.release(),
+                OpenEvent::CleanAck => b.on_clean_ack(),
+                OpenEvent::Loss => {
+                    b.on_loss(base + Duration::from_millis(i as u64), Duration::from_millis(3))
+                }
+            }
+            while let Some(head) = b.turn() {
+                prop_assert_eq!(head, started + 1, "open {} started out of arrival order", head);
+                prop_assert!(b.in_flight() < b.window(), "open {} started on a full window", head);
+                prop_assert!(b.take_turn(head));
+                b.force_charge();
+                started += 1;
+            }
+            prop_assert!(started == opened || b.in_flight() >= b.window(), "an open waits idly");
         }
     }
 }

@@ -578,9 +578,8 @@ async fn report_outcomes(
 }
 
 /// `serve --workers N`: the daemon sharded across N worker threads —
-/// one `SO_REUSEPORT` socket, executor (epoll reactor), registry and
-/// flow budget per worker, the kernel steering each datagram to its
-/// session's shard. Blocks until `--run-for-ms` elapses (or forever,
+/// one `SO_REUSEPORT` socket, executor (epoll reactor) and registry per
+/// worker, the kernel steering each datagram to its session's shard. Blocks until `--run-for-ms` elapses (or forever,
 /// until killed).
 fn run_serve_sharded(
     o: &Options,

@@ -21,10 +21,7 @@
 //! deltas ([`thinair_net::rt::Metrics::delta`]), and a full telemetry
 //! snapshot whose `phase.*` histograms decompose each wave's latency
 //! per protocol phase — `dominant_phase` names the biggest
-//! contributor. `naive_polls` is what the pre-waker polling executor
-//! would have spent (every live task re-polled every pass);
-//! `polls_saved` is the measured savings of waker-based readiness —
-//! the "idle sessions cost zero CPU" claim, quantified.
+//! contributor.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -212,13 +209,6 @@ pub struct ServeWaveResult {
     pub executor_passes: u64,
     /// Peak live tasks on the runtime.
     pub peak_tasks: u64,
-    /// What the pre-waker polling executor would have spent:
-    /// `executor_passes × peak_tasks` (every pass re-polled every task;
-    /// on a sharded wave, summed per runtime before the multiply).
-    pub naive_polls: u64,
-    /// `naive_polls − task_polls`: the measured win of waker-based
-    /// readiness.
-    pub polls_saved: u64,
     /// Fd-readability wakeups delivered by the epoll reactors, all
     /// runtimes (timing). Zero on the sim backend / non-Linux hosts.
     pub epoll_wakeups: u64,
@@ -398,7 +388,6 @@ fn run_single_wave<T: Transport + 'static>(
         evicted += s.evicted;
         peak_open = peak_open.max(s.peak_open);
     }
-    let naive_polls = metrics.passes.saturating_mul(metrics.max_tasks);
     Ok(ServeWaveResult {
         spec: spec.clone(),
         agreed,
@@ -423,8 +412,6 @@ fn run_single_wave<T: Transport + 'static>(
         task_polls: metrics.task_polls,
         executor_passes: metrics.passes,
         peak_tasks: metrics.max_tasks,
-        naive_polls,
-        polls_saved: naive_polls.saturating_sub(metrics.task_polls),
         epoll_wakeups: metrics.epoll_wakeups,
     })
 }
@@ -649,14 +636,12 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
     let mut lat_us = Histogram::new();
     let mut coord_outs: Vec<SessionOutcome> = Vec::new();
     let mut metrics = rt::Metrics::default();
-    let mut naive_polls = 0u64;
     let mut send_errors = 0u64;
     for cs in coord_shards {
         let cs = cs?;
         wave_telemetry.merge(&cs.snapshot);
         lat_us.merge(&cs.lat_us);
         coord_outs.extend(cs.outs);
-        naive_polls += cs.metrics.passes.saturating_mul(cs.metrics.max_tasks);
         metrics.absorb(&cs.metrics);
         send_errors += cs.send_errors;
     }
@@ -670,7 +655,6 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
         for r in reports.map_err(io_err)? {
             served.extend(r.outcomes);
             wave_telemetry.merge(&r.snapshot);
-            naive_polls += r.rt_metrics.passes.saturating_mul(r.rt_metrics.max_tasks);
             metrics.absorb(&r.rt_metrics);
             node_stats.absorb(&r.stats);
             send_errors += r.send_errors;
@@ -707,8 +691,6 @@ fn run_sharded_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioErr
         task_polls: metrics.task_polls,
         executor_passes: metrics.passes,
         peak_tasks: metrics.max_tasks,
-        naive_polls,
-        polls_saved: naive_polls.saturating_sub(metrics.task_polls),
     })
 }
 
@@ -884,8 +866,6 @@ fn wave_json(r: &ServeWaveResult) -> String {
         format!("\"task_polls\": {}", r.task_polls),
         format!("\"executor_passes\": {}", r.executor_passes),
         format!("\"peak_tasks\": {}", r.peak_tasks),
-        format!("\"naive_polls\": {}", r.naive_polls),
-        format!("\"polls_saved\": {}", r.polls_saved),
         format!("\"epoll_wakeups\": {}", r.epoll_wakeups),
         format!("\"repoll_arms\": {}", r.repoll_arms),
         format!(
@@ -926,7 +906,7 @@ pub fn write_serve_json(path: &Path, results: &[ServeWaveResult]) -> io::Result<
 pub fn serve_summary_table(results: &[ServeWaveResult]) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<24} {:>6} {:>4} {:>7} {:>8} {:>5} {:>8} {:>9} {:>9} {:>9} {:>12}  {}\n",
+        "{:<24} {:>6} {:>4} {:>7} {:>8} {:>5} {:>8} {:>9} {:>9} {:>9}  {}\n",
         "wave",
         "conc",
         "wrk",
@@ -937,12 +917,11 @@ pub fn serve_summary_table(results: &[ServeWaveResult]) -> String {
         "sess/s",
         "p50 ms",
         "p99 ms",
-        "polls saved",
         "dominant phase"
     ));
     for r in results {
         out.push_str(&format!(
-            "{:<24} {:>6} {:>4} {:>7} {:>8} {:>5} {:>8} {:>9.1} {:>9.1} {:>9.1} {:>12}  {}\n",
+            "{:<24} {:>6} {:>4} {:>7} {:>8} {:>5} {:>8} {:>9.1} {:>9.1} {:>9.1}  {}\n",
             r.spec.name,
             r.spec.concurrency,
             r.spec.workers,
@@ -953,7 +932,6 @@ pub fn serve_summary_table(results: &[ServeWaveResult]) -> String {
             r.sessions_per_sec,
             r.latency_ms_p50,
             r.latency_ms_p99,
-            r.polls_saved,
             r.dominant_phase().map(|(name, _)| name).unwrap_or("-"),
         ));
     }
@@ -1048,7 +1026,6 @@ mod tests {
         assert!(r.latency_ms_p90 >= r.latency_ms_p50);
         assert!(r.latency_ms_p99 >= r.latency_ms_p90);
         assert!(r.latency_ms_p999 >= r.latency_ms_p99);
-        assert!(r.polls_saved > 0, "waker executor must beat the naive baseline");
         // The wave snapshot carries the per-layer breakdown: frames on
         // the wire, and phase histograms naming a dominant contributor.
         assert!(r.telemetry.counters.get("net.tx.frames").copied().unwrap_or(0) > 0);

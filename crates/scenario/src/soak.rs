@@ -299,7 +299,7 @@ fn soak_cells() -> Vec<(&'static str, FaultPlan, u32)> {
         ),
         // Overload surge: no injected faults, 3× the grid's concurrency
         // — the soak-side companion of the serve bench's overload wave,
-        // exercising the per-node flow budget and admission pacing
+        // exercising the coordinator's flow budget and admission pacing
         // under contention. Audited by the same safety invariant.
         ("overload surge", FaultPlan::none(), 3),
     ]
