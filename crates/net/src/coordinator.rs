@@ -20,7 +20,11 @@
 //! 4. **Phase 2** — fountain-codes the `M − L` z-packets: random
 //!    combinations stream until every terminal has signalled `Done`
 //!    (rank complete), which absorbs any data-plane loss without
-//!    per-packet ACKs.
+//!    per-packet ACKs. A first burst covers the expected loss; each
+//!    top-up after it waits the reliable layer's RTO toward the slowest
+//!    terminal still short, doubling per top-up up to
+//!    [`SessionConfig::retransmit`]. The whole fountain stays within
+//!    [`SessionConfig::z_budget`] combos.
 //! 5. **Fin** — reliably tells every terminal the session is complete.
 //!
 //! The machine never waits: the node's receive loop (`crate::demux`)
@@ -44,13 +48,15 @@ use crate::transport::{SharedTransport, Transport};
 /// The first phase, which a session waiting for admission is already in.
 const START_BARRIER: &str = "start barrier";
 
-/// A session's phase; `Queued` waits in the flow budget's FIFO.
+/// A session's phase; `Queued` waits in the flow budget's FIFO. In the
+/// fountain, `round` is what goes out at `next_combo`: 0 the first
+/// burst, `k` the k-th top-up.
 enum Phase {
     Queued,
     StartBarrier { start_seq: u32 },
     XSettle { until: Instant },
     AwaitReports,
-    Fountain { next_combo: Instant },
+    Fountain { next_combo: Instant, round: u32 },
     FinBarrier { fin_seq: u32 },
 }
 
@@ -228,18 +234,19 @@ impl<T: Transport> Coordinator<T> {
                 let fin_seq = c.rel.send(&c.t, c.session, NetPayload::Fin, &c.peers)?;
                 self.enter(Phase::FinBarrier { fin_seq });
             }
-            Phase::Fountain { next_combo } if now >= next_combo && !self.z.is_empty() => {
-                if self.z_sent >= self.core.cfg.z_budget {
+            Phase::Fountain { next_combo, round } if now >= next_combo && !self.z.is_empty() => {
+                let budget = self.core.cfg.z_budget;
+                if self.z_sent >= budget {
                     let peers = self.core.peers.iter().copied();
                     let missing = peers.filter(|p| !self.done.contains(p)).collect();
                     let reason = AbortReason::Unreachable { missing, attempts: self.z_sent };
                     return Ok(Some(self.abort(reason)));
                 }
-                // An initial burst covers the worst-case missing-row
-                // count; afterwards one combo per retransmit interval
-                // tops up losses.
-                let burst = if self.z_sent == 0 { (self.z.rows() + 3) as u32 } else { 1 };
-                for _ in 0..burst {
+                // The first burst covers the worst-case missing-row count
+                // (as far as the budget allows); each top-up after it is
+                // one combo.
+                let burst = if round == 0 { (self.z.rows() + 3) as u32 } else { 1 };
+                for _ in 0..burst.min(budget - self.z_sent) {
                     // Combo indices ride the wire as u16; a fountain that
                     // outlives the index space (only reachable with
                     // z_budget > 65536) aborts cleanly instead of
@@ -257,7 +264,8 @@ impl<T: Transport> Coordinator<T> {
                     self.send_combo(index)?;
                     self.z_sent += 1;
                 }
-                self.phase = Phase::Fountain { next_combo: now + self.core.cfg.retransmit };
+                let next_combo = now + self.top_up_delay(round);
+                self.phase = Phase::Fountain { next_combo, round: round + 1 };
             }
             Phase::FinBarrier { fin_seq } if self.core.rel.acked(fin_seq) => {
                 if let Some(out) = self.outcome.take() {
@@ -311,8 +319,22 @@ impl<T: Transport> Coordinator<T> {
         };
         let trace = SessionTrace { plan_seed, reports, ..SessionTrace::default() };
         self.outcome = Some(SessionOutcome { trace: Some(trace), ..c.outcome((m, l), secret) });
-        self.enter(Phase::Fountain { next_combo: now });
+        self.enter(Phase::Fountain { next_combo: now, round: 0 });
         Ok(None)
+    }
+
+    /// How long after fountain `round` the next top-up goes out: the
+    /// RTO toward the slowest terminal still short of `Done`, doubled
+    /// per top-up already sent, up to `retransmit` (or that RTO, when
+    /// it is longer). A terminal one combo short finishes an RTO after
+    /// the burst, and one that never finishes is topped up at the
+    /// `retransmit` pace until the budget or the deadline ends it. No
+    /// jitter: top-ups that fall due together share one wake of the
+    /// node's receive loop.
+    fn top_up_delay(&self, round: u32) -> Duration {
+        let short = self.core.peers.iter().copied().filter(|p| !self.done.contains(p));
+        let rto = self.core.rel.rto(short);
+        rto.saturating_mul(2u32.saturating_pow(round)).min(rto.max(self.core.cfg.retransmit))
     }
 
     /// Broadcasts fountain combo `index`: a random non-zero combination
@@ -362,7 +384,7 @@ impl<T: Transport> Machine for Coordinator<T> {
     fn wake(&self) -> Instant {
         let timer = match self.phase {
             Phase::XSettle { until } => Some(until),
-            Phase::Fountain { next_combo } if !self.z.is_empty() => Some(next_combo),
+            Phase::Fountain { next_combo, .. } if !self.z.is_empty() => Some(next_combo),
             _ => None,
         };
         self.core.wake(timer)

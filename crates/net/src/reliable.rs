@@ -387,20 +387,23 @@ impl Reliable {
         }
     }
 
-    /// The RTO of an entry still pending at `pending`: the slowest
-    /// pending peer's (don't spam the straggler).
-    fn pending_rto_us(&self, pending: &BTreeSet<u8>) -> u64 {
-        let slowest = pending.iter().map(|&p| self.peer_rto_us(p)).max();
-        slowest.unwrap_or_else(|| (self.initial_rto.as_micros() as u64).max(1))
+    /// The RTO toward the slowest of `peers` (don't spam the
+    /// straggler), or the initial RTO when there are none: what an entry
+    /// still pending at `peers` waits, and what the coordinator's
+    /// fountain top-ups are paced by.
+    pub(crate) fn rto(&self, peers: impl IntoIterator<Item = u8>) -> Duration {
+        let slowest = peers.into_iter().map(|p| self.peer_rto_us(p)).max();
+        let rto_us = slowest.unwrap_or_else(|| (self.initial_rto.as_micros() as u64).max(1));
+        Duration::from_micros(rto_us)
     }
 
     /// The delay until the next transmission of an entry at backoff
     /// `level` (1 = freshly sent or just re-armed by partial progress),
-    /// from its [`Reliable::pending_rto_us`]; the jitter is keyed by the
-    /// lowest pending peer id.
+    /// from its pending peers' [`Reliable::rto`]; the jitter is keyed by
+    /// the lowest pending peer id.
     fn schedule(&self, pending: &BTreeSet<u8>, level: u32, seq: u32) -> Duration {
         let peer = pending.iter().next().copied().unwrap_or(0);
-        let rto = Duration::from_micros(self.pending_rto_us(pending));
+        let rto = self.rto(pending.iter().copied());
         let d = backoff_delay(rto, level, self.cap, self.seed, peer, seq);
         if level > 1 {
             crate::telemetry::counter_add("net.backoff.scheduled", 1);
@@ -542,7 +545,7 @@ impl Reliable {
             // livelock, since ACKing the frames already charged is the
             // only way in-flight load drains.
             if let Some(f) = &self.flow {
-                let rto = Duration::from_micros(self.pending_rto_us(&self.entries[i].pending));
+                let rto = self.rto(self.entries[i].pending.iter().copied());
                 f.borrow_mut().on_loss(now, rto);
             }
             let e = &mut self.entries[i];

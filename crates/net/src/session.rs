@@ -120,7 +120,9 @@ pub struct SessionConfig {
     pub drop_models: Option<Vec<ErasureModel>>,
     /// Initial retransmit timeout for reliable control frames: the RTO
     /// before any RTT sample exists, and the anchor of the adaptive
-    /// RTO's floor (see [`crate::reliable`]).
+    /// RTO's floor (see [`crate::reliable`]). Also the ceiling of the
+    /// coordinator's fountain top-up interval, which starts at that RTO
+    /// and doubles per top-up (see [`crate::coordinator`]).
     pub retransmit: Duration,
     /// Ceiling of the adaptive, exponentially backed-off retransmit
     /// delay.

@@ -1,4 +1,5 @@
-//! Liveness of the fin barrier, and what a session costs the executor.
+//! Liveness of the fin barrier, the fountain's top-up schedule, and what
+//! a session costs the executor.
 //!
 //! A terminal returns as soon as it has acked `Fin`. When that ack is
 //! lost, the coordinator retransmits `Fin` to a terminal that is already
@@ -18,7 +19,9 @@ use std::sync::Arc;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
+use thinair_core::estimate::Estimator;
 use thinair_core::round::XSchedule;
+use thinair_core::wire::Message;
 use thinair_net::driver::{run_sessions, task_seed};
 use thinair_net::frame::{Frame, NetPayload};
 use thinair_net::reliable::FLOW_INITIAL_CWND;
@@ -633,4 +636,186 @@ fn a_queued_open_past_its_deadline_leaves_the_queue() {
     for (out, _) in &ends {
         assert_eq!(out.abort, start_barrier, "session {}: nobody answered", out.session);
     }
+}
+
+/// What a [`FountainTap`] takes from the terminal it cuts off, on top of
+/// its odd x-packets.
+#[derive(Clone, Copy)]
+enum Cut {
+    /// Every combo sent within this span of the first: the first burst
+    /// (all sent at one instant) and the top-ups that follow inside it.
+    Combos(Duration),
+    /// Every frame either way from the first combo on: the terminal
+    /// went silent after the plan.
+    Silent,
+}
+
+/// The coordinator's transport with terminal `victim` cut off as `cut`;
+/// it logs when each z-combo went out. The victim's lost x-packets make
+/// it need a combo, while every other loss is off (`drop_prob` 0).
+struct FountainTap<T> {
+    inner: T,
+    victim: u8,
+    cut: Cut,
+    combos: Rc<RefCell<Vec<Instant>>>,
+}
+
+impl<T: Transport> FountainTap<T> {
+    /// Whether `frame`, exchanged with the victim now, is lost.
+    fn lost(&self, frame: &Frame) -> bool {
+        let combos = self.combos.borrow();
+        match (&frame.payload, self.cut) {
+            (NetPayload::Proto(Message::XPacket { id, .. }), _) => id % 2 == 1,
+            (NetPayload::Proto(Message::ZPacket { .. }), Cut::Combos(span)) => {
+                rt::now() <= combos[0] + span
+            }
+            (_, Cut::Silent) => !combos.is_empty(),
+            _ => false,
+        }
+    }
+}
+
+impl<T: Transport> Transport for FountainTap<T> {
+    fn local_node(&self) -> u8 {
+        self.inner.local_node()
+    }
+
+    fn node_count(&self) -> usize {
+        self.inner.node_count()
+    }
+
+    fn send_to(&mut self, to: u8, frame: &Frame) -> io::Result<()> {
+        if to == self.victim && self.lost(frame) {
+            return Ok(());
+        }
+        self.inner.send_to(to, frame)
+    }
+
+    fn broadcast(&mut self, frame: &Frame) -> io::Result<()> {
+        if matches!(frame.payload, NetPayload::Proto(Message::ZPacket { .. })) {
+            self.combos.borrow_mut().push(rt::now());
+        }
+        let me = self.local_node();
+        for peer in (0..self.node_count() as u8).filter(|&p| p != me) {
+            self.send_to(peer, frame)?;
+        }
+        Ok(())
+    }
+
+    fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<io::Result<Frame>> {
+        loop {
+            match self.inner.poll_recv(cx) {
+                Poll::Ready(Ok(frame)) if frame.sender == self.victim && self.lost(&frame) => {}
+                other => return other,
+            }
+        }
+    }
+
+    fn invalid_frames(&self) -> u64 {
+        self.inner.invalid_frames()
+    }
+}
+
+/// [`virtual_cfg`] with no injected loss: the explorer's fixed-fraction
+/// Eve estimate keeps a secret in the plan all the same.
+fn fountain_cfg() -> SessionConfig {
+    let estimator = Estimator::FixedFraction { fraction: 0.5 };
+    SessionConfig { estimator, drop_prob: 0.0, ..virtual_cfg() }
+}
+
+/// Runs one virtual-clock session of `cfg` whose coordinator cuts
+/// terminal 1 off as `cut`. Returns every node's outcome, the
+/// coordinator's first, and when each z-combo went out, from the open.
+fn run_cut(cfg: &SessionConfig, cut: Cut) -> (Vec<SessionOutcome>, Vec<Duration>) {
+    let net = SimNet::new(IidMedium::symmetric(3, 0.0, 1), 3);
+    let combos = Rc::new(RefCell::new(Vec::new()));
+    let tap = FountainTap { inner: net.transport(0), victim: 1, cut, combos: combos.clone() };
+    let terminals: Vec<_> = (1..3).map(|i| net.transport(i)).collect();
+    let cfg = cfg.clone();
+    let (outs, t0) = rt::block_on_virtual(
+        async move {
+            let coord = Node::new(tap);
+            coord.start_pump();
+            let mut served = Vec::new();
+            for t in terminals {
+                let (cfg, limits) = (cfg.clone(), ServeLimits::default());
+                let mut server = Server::new(SharedTransport::new(t), cfg, 3, limits);
+                served.push(server.outcomes());
+                rt::spawn(server.run());
+            }
+            let t0 = rt::now();
+            let out = coord.coordinate(1, cfg, task_seed(3, 1, 0)).await;
+            let mut outs = vec![out.expect("virtual session runs")];
+            for rx in &mut served {
+                outs.push(rx.recv().await.expect("the daemon reports its session"));
+            }
+            (outs, t0)
+        },
+        Instant::now(),
+        &mut || false,
+    );
+    let sent = combos.borrow().iter().map(|&at| at - t0).collect();
+    (outs, sent)
+}
+
+/// The gaps between the fountain's sends after its first burst (the
+/// combos sent at the first combo's instant), the burst's own instant
+/// first.
+fn top_up_gaps(sent: &[Duration]) -> Vec<Duration> {
+    let burst = sent.iter().filter(|&&at| at == sent[0]).count();
+    sent[burst - 1..].windows(2).map(|w| w[1] - w[0]).collect()
+}
+
+/// The top-up schedule with no RTT sample: the RTO sits at its floor,
+/// `retransmit / 4` = 10 ms, and doubles per top-up up to `retransmit`.
+fn rto_schedule(top_ups: usize) -> Vec<Duration> {
+    (0..top_ups).map(|k| Duration::from_millis(10 << k.min(2))).collect()
+}
+
+/// A terminal one row short loses the first burst and every top-up of
+/// the fountain's first 100 ms. The top-ups go out an RTO after the
+/// burst, then at twice that, then at `retransmit`: under the virtual
+/// clock the gaps are exactly 10, 20, 40 and 40 ms, and the fourth
+/// top-up completes it (a fixed timer put every gap at 40 ms). Every
+/// node agrees on the secret.
+#[test]
+fn top_ups_wait_the_rto_doubling_up_to_retransmit() {
+    let (outs, sent) = run_cut(&fountain_cfg(), Cut::Combos(Duration::from_millis(100)));
+    assert_eq!(outs.len(), 3);
+    for out in &outs {
+        assert!(out.completed(), "node {} aborted: {:?}", out.node, out.abort);
+        assert_eq!(out.secret, outs[0].secret);
+    }
+    assert!(outs[0].l > 0, "the plan has a secret");
+    assert_eq!(top_up_gaps(&sent), rto_schedule(4));
+}
+
+/// A terminal that goes silent after the plan is topped up on the same
+/// schedule until the session deadline, which ends the coordinator in
+/// the fountain: the doubling keeps the fountain within `z_budget` for
+/// the whole deadline (combos every 10 ms would spend its 400 in 4 s and
+/// end the session `Unreachable`).
+#[test]
+fn a_silent_terminal_is_topped_up_at_the_old_pace_until_the_deadline() {
+    let cfg = fountain_cfg();
+    let (outs, sent) = run_cut(&cfg, Cut::Silent);
+    assert_eq!(outs[0].abort, Some(AbortReason::Deadline { phase: "z fountain" }));
+    let gaps = top_up_gaps(&sent);
+    assert_eq!(gaps, rto_schedule(gaps.len()));
+    let last = *sent.last().expect("the fountain opened");
+    assert!(last + cfg.retransmit >= cfg.deadline, "top-ups stopped at {last:?}");
+    assert!((sent.len() as u32) < cfg.z_budget);
+}
+
+/// The first burst stays within `z_budget`: with a budget of 2, below
+/// the burst's `z.rows() + 3`, the coordinator sends 2 combos, and the
+/// terminal that lost them ends the session `Unreachable` after exactly
+/// the budget.
+#[test]
+fn the_first_burst_stays_within_the_fountain_budget() {
+    let cfg = SessionConfig { z_budget: 2, ..fountain_cfg() };
+    let (outs, sent) = run_cut(&cfg, Cut::Combos(Duration::ZERO));
+    assert_eq!(sent.len(), 2, "combos sent against a budget of 2");
+    let unreachable = AbortReason::Unreachable { missing: vec![1], attempts: 2 };
+    assert_eq!(outs[0].abort, Some(unreachable));
 }

@@ -7,6 +7,10 @@ even when a result reads `"correct": false`; this check fails instead
 when any workload is missing its result, reports `"correct": false` or
 `"failed"` > 0, or spends more wire bytes per session than its ceiling.
 
+Each workload's `check:` lines (generator lag, Little's law, byte
+ledgers) are echoed, and an invalid result's `INVALID:` lines are copied
+into the failure messages, so a log says which validity check tripped.
+
 Usage:
     cargo run --release --offline --manifest-path loadbench/Cargo.toml -- \\
         --workload all --seed 1 --seconds 3 | tee loadbench.out
@@ -23,21 +27,41 @@ WIRE_BYTES_CEILING = {"steady": 1450}
 EXPECTED = ("steady", "burst", "sharded")
 
 
-def check(lines):
-    problems = []
-    results = {}
-    workload = None
+def parse(lines):
+    """Each workload's result line (or None), `check:` and `INVALID:`
+    lines, by name."""
+    workloads = {}
+    current = None
     for line in lines:
         if line.startswith("context: "):
-            workload = json.loads(line[len("context: "):])["workload"]
+            name = json.loads(line[len("context: "):])["workload"]
+            current = workloads.setdefault(name, {"result": None, "checks": [], "invalid": []})
+        elif current is None:
+            continue
+        elif line.startswith("check: "):
+            current["checks"].append(line[len("check: "):])
+        elif line.startswith("INVALID: "):
+            current["invalid"].append(line[len("INVALID: "):])
         elif line.startswith('{"correct"'):
-            results[workload] = json.loads(line)
+            current["result"] = json.loads(line)
+    return workloads
+
+
+def check(lines):
+    problems = []
+    workloads = parse(lines)
     for name in EXPECTED:
-        if name not in results:
+        if workloads.get(name, {}).get("result") is None:
             problems.append(f"{name}: no result line")
-    for name, r in results.items():
+    for name, w in workloads.items():
+        for c in w["checks"]:
+            print(f"{name}: check: {c}")
+        r = w["result"]
+        if r is None:
+            continue
         if r["correct"] is not True:
             problems.append(f"{name}: correct is {r['correct']}")
+            problems.extend(f"{name}: INVALID: {i}" for i in w["invalid"])
         if r["failed"] > 0:
             problems.append(f"{name}: {r['failed']} failed sessions")
         wire = r["metrics"]["wire_bytes_per_session"]["value"]
