@@ -51,7 +51,7 @@
 use std::collections::BTreeSet;
 
 use rand::Rng;
-use thinair_gf::{Gf256, Matrix};
+use thinair_gf::{kernel, Gf256, Matrix, PayloadPlane};
 use thinair_mds::cauchy_matrix;
 
 use crate::error::ProtocolError;
@@ -74,6 +74,20 @@ impl YRow {
             v[j] = c;
         }
         v
+    }
+
+    /// Adds this row's y-packet `Σ c_j·x_j` into `acc`, reading x-packet
+    /// `j`'s payload as `x(j)`. `Err(j)` names the first x-packet `x`
+    /// lacks; `acc` is then partial.
+    pub fn accumulate<'a>(
+        &self,
+        acc: &mut [u8],
+        x: impl Fn(usize) -> Option<&'a [u8]>,
+    ) -> Result<(), usize> {
+        for (&j, &c) in self.support.iter().zip(self.coeffs.iter()) {
+            kernel::axpy(acc, x(j).ok_or(j)?, c.value());
+        }
+        Ok(())
     }
 }
 
@@ -115,6 +129,20 @@ impl Plan {
     /// The published z rows in x-coordinates (`C·W`, `(M−L)×N`).
     pub fn z_rows_x(&self) -> Matrix {
         &self.c_mat * &self.w
+    }
+
+    /// Every y-packet, `y = W·x`, one plane row each, with x-packet `j`'s
+    /// payload read as `x(j)`; `Err(j)` as in [`YRow::accumulate`].
+    pub fn y_plane<'a>(
+        &self,
+        payload_len: usize,
+        x: impl Fn(usize) -> Option<&'a [u8]>,
+    ) -> Result<PayloadPlane, usize> {
+        let mut y = PayloadPlane::zero(self.m(), payload_len);
+        for (r, row) in self.rows.iter().enumerate() {
+            row.accumulate(y.row_mut(r), &x)?;
+        }
+        Ok(y)
     }
 
     /// An empty plan (no secret possible this round).

@@ -194,16 +194,12 @@ pub fn run_unicast_round(
             });
         }
         // Pad payloads (both Alice and terminal i can compute these).
-        pads[i] = rows_i
-            .iter()
-            .map(|row| {
-                let mut acc = vec![0u8; pool.payload_len];
-                for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
-                    thinair_gf::kernel::axpy(&mut acc, pool.payloads.row(j), c.value());
-                }
-                acc.into_iter().map(Gf256).collect()
-            })
-            .collect();
+        for row in rows_i {
+            let mut acc = vec![0u8; pool.payload_len];
+            row.accumulate(&mut acc, |j| Some(pool.payloads.row(j)))
+                .map_err(|_| ProtocolError::ConstructionFailed("a pad row outside the x-pool"))?;
+            pads[i].push(acc.into_iter().map(Gf256).collect());
+        }
         pad_rows[i] = dense;
     }
 

@@ -96,8 +96,11 @@ const SAFETY_LOOKBACK: usize = 3;
 /// The serve hot path: modules where a panic takes down a daemon
 /// serving thousands of concurrent sessions. The role state machines
 /// and their shared session code are on it: the receive loop steps them
-/// inline, so a panic there ends every session on the transport.
-const HOT_PATH_FILES: [&str; 11] = [
+/// inline, so a panic there ends every session on the transport. That
+/// includes core's phase 2, whose `Reconstructor` every terminal
+/// decodes with.
+const HOT_PATH_FILES: [&str; 12] = [
+    "crates/core/src/phase2.rs",
     "crates/net/src/coordinator.rs",
     "crates/net/src/demux.rs",
     "crates/net/src/node.rs",

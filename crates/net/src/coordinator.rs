@@ -300,18 +300,12 @@ impl<T: Transport> Coordinator<T> {
         c.rel.send(&c.t, c.session, NetPayload::Proto(msg), &c.peers)?;
         // The coordinator decodes every row directly.
         let secret = if l > 0 {
-            let mut y = PayloadPlane::zero(plan.rows.len(), c.cfg.payload_len);
-            for (r, row) in plan.rows.iter().enumerate() {
-                let acc = y.row_mut(r);
-                for (&j, &coeff) in row.support.iter().zip(row.coeffs.iter()) {
-                    let p =
-                        c.store.get(&j).ok_or(NetError::Protocol(ProtocolError::DecodeFailed {
-                            terminal: c.me as usize,
-                            what: "a plan row from a payload the coordinator lacks",
-                        }))?;
-                    kernel::axpy(acc, p, coeff.value());
-                }
-            }
+            let x = |j| c.store.get(&j).map(Vec::as_slice);
+            let y =
+                plan.y_plane(c.cfg.payload_len, x).map_err(|_| ProtocolError::DecodeFailed {
+                    terminal: c.me as usize,
+                    what: "a plan row from a payload the coordinator lacks",
+                })?;
             self.z = plan.c_mat.mul_plane(&y);
             plan.d_mat.mul_plane(&y).to_payloads()
         } else {

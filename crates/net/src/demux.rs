@@ -191,8 +191,9 @@ pub(crate) trait Policy {
     /// Runs after every pass: each batch, and each timed wake.
     fn after_pass(&mut self, _table: &mut Table, _now: Instant) {}
 
-    /// When the loop must wake even with no traffic and no session due.
-    fn next_wake(&self) -> Option<Instant> {
+    /// When the loop must wake even with no traffic and no session due,
+    /// given its routes.
+    fn next_wake(&self, _table: &Table) -> Option<Instant> {
         None
     }
 
@@ -203,25 +204,9 @@ pub(crate) trait Policy {
 }
 
 /// How long the receive loop works through back-to-back batches before
-/// due timers (a load generator's next arrival, say) get their turn.
+/// it yields, so due timers (a load generator's next arrival, say) and
+/// the tasks they wake get their turn.
 const YIELD_AFTER: Duration = Duration::from_millis(1);
-
-/// Completes once every timer already due has fired: a timer due now
-/// queues this task behind the tasks those timers wake.
-async fn yield_to_timers() {
-    let mut timer = None;
-    poll_fn(|cx| match timer.take() {
-        Some(id) => {
-            rt::cancel_timer(id);
-            Poll::Ready(())
-        }
-        None => {
-            timer = Some(rt::register_timer(rt::now(), cx.waker()));
-            Poll::Pending
-        }
-    })
-    .await
-}
 
 /// One transport's demultiplexer; clones share one [`Table`].
 #[derive(Clone, Default)]
@@ -258,7 +243,7 @@ impl Demux {
                 }
                 let mut table = self.table();
                 let head = table.wakes.first().map(|&(wake, _)| wake).into_iter();
-                let head = head.chain(policy.next_wake()).min();
+                let head = head.chain(policy.next_wake(&table)).min();
                 if timer.as_ref().map(|(at, _)| *at) != head {
                     timer = head.map(|at| (at, rt::sleep_until(at)));
                 }
@@ -276,13 +261,14 @@ impl Demux {
             match woke {
                 None => return Ok(()),
                 Some(Ok(batch)) => {
-                    // The executor fires timers only once its ready queue
-                    // drains, which a loop that keeps finding frames puts
-                    // off. (The virtual clock stands still within a pass.)
+                    // A loop that keeps finding frames never waits, so it
+                    // yields: the executor fires due timers before its
+                    // next pass. (The virtual clock stands still within a
+                    // pass, so it never yields there.)
                     let now = rt::now();
                     let since = *working_since.get_or_insert(now);
                     if !batch.is_empty() && now.duration_since(since) >= YIELD_AFTER {
-                        yield_to_timers().await;
+                        rt::yield_now().await;
                         working_since = None;
                     }
                     self.dispatch(t, policy, batch, rt::now());
@@ -447,8 +433,9 @@ mod tests {
     }
 
     /// A loop that keeps finding frames still lets a timer fire once it
-    /// is due: it queues behind due timers after `YIELD_AFTER` of work,
-    /// long before the flood runs dry.
+    /// is due: it yields after `YIELD_AFTER` of work, and the executor
+    /// fires due timers before its next pass, long before the flood runs
+    /// dry.
     #[test]
     fn a_busy_loop_lets_due_timers_run() {
         const FRAMES: u64 = 2_000_000;

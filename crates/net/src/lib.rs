@@ -34,8 +34,10 @@
 //!   its sessions, whose FIFO orders their `Start`s.
 //! * [`session`] — shared session configuration, deterministic plan
 //!   re-derivation, erasure injection (iid hash or pluggable per-receiver
-//!   [`thinair_netsim::ErasureModel`] chains), secret reconstruction.
-//! * [`coordinator`] / [`terminal`] — the two role state machines.
+//!   [`thinair_netsim::ErasureModel`] chains).
+//! * [`coordinator`] / [`terminal`] — the two role state machines. A
+//!   terminal decodes with core's
+//!   [`thinair_core::phase2::Reconstructor`], the simulated round's own.
 //! * `demux` (crate-private) — the one receive loop per transport: steps
 //!   each session's state machine per routed frame and due wake, re-acks
 //!   late frames of finished sessions from its TIME_WAIT window, and

@@ -18,6 +18,12 @@
 //! task whenever anything happened — a busy-spin that burned a full
 //! core; the regression test `idle_tasks_poll_o1` pins the fix.)
 //!
+//! Firing due timers alternates with passes, and a pass polls the tasks
+//! that were ready when it began: a wake during the pass waits for the
+//! next one, so a task that keeps waking itself (a receive loop that
+//! yields between back-to-back batches, say) cannot keep due timers
+//! waiting.
+//!
 //! When nothing is ready the executor sleeps until the earliest timer
 //! deadline — in `epoll_wait` when any I/O source has registered via
 //! [`register_fd_readable`] (a real reactor: a datagram's arrival ends
@@ -273,7 +279,7 @@ impl Executor {
 /// [`Metrics::delta`] rather than reading the cumulative values.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Metrics {
-    /// Scheduler passes (each drains the ready queue once).
+    /// Scheduler passes (each polls the tasks ready when it began).
     pub passes: u64,
     /// Individual task polls (root future included).
     pub task_polls: u64,
@@ -583,16 +589,18 @@ fn block_on_with<F: Future>(
             }
         }
 
-        // One pass: poll exactly the woken tasks.
+        // One pass: poll exactly the tasks woken before it began; a wake
+        // during the pass waits for the next one, after due timers fire.
         {
             let mut m = ex.metrics.get();
             m.passes += 1;
             ex.metrics.set(m);
         }
+        let ready = ex.ready.len();
         if timing {
-            crate::telemetry::observe("rt.ready_depth", ex.ready.len() as u64);
+            crate::telemetry::observe("rt.ready_depth", ready as u64);
         }
-        while let Some(id) = ex.ready.pop() {
+        for id in std::iter::from_fn(|| ex.ready.pop()).take(ready) {
             let mut m = ex.metrics.get();
             m.task_polls += 1;
             ex.metrics.set(m);
@@ -626,10 +634,9 @@ fn block_on_with<F: Future>(
             }
         }
 
-        // Nothing ready (a task's own wake during its poll re-enters the
-        // queue and is caught here): sleep until the earliest timer — or,
-        // under a virtual clock, consult the stall hook and then *jump*
-        // to the earliest timer.
+        // Nothing ready: sleep until the earliest timer — or, under a
+        // virtual clock, consult the stall hook and then *jump* to the
+        // earliest timer.
         if ex.ready.is_empty() {
             if let Some((_, on_stall)) = virt.as_mut() {
                 if on_stall() {
@@ -767,7 +774,8 @@ pub fn sleep_until(deadline: Instant) -> Sleep {
     Sleep { deadline, timer: None }
 }
 
-/// Yields once, letting other tasks run before this one resumes.
+/// Yields once, letting other ready tasks and due timers run before
+/// this one resumes.
 pub fn yield_now() -> YieldNow {
     YieldNow { yielded: false }
 }
@@ -785,8 +793,9 @@ impl Future for YieldNow {
             Poll::Ready(())
         } else {
             self.yielded = true;
-            // Immediately re-ready: the wake queues this task behind
-            // everything already woken, which is the yield.
+            // Immediately re-ready: the wake queues this task for the
+            // next pass, behind everything already woken and whatever
+            // the timers due by then wake, which is the yield.
             cx.waker().wake_by_ref();
             Poll::Pending
         }
@@ -1197,6 +1206,29 @@ mod tests {
         // blocks forever with no timer, and the hook has nothing to add.
         let (_tx, mut rx) = channel::<u8>();
         block_on_virtual(async move { rx.recv().await }, Instant::now(), &mut || false);
+    }
+
+    /// A task that loops on `yield_now` does not starve a pending sleep:
+    /// due timers fire between passes, so the sleep ends the loop within
+    /// about a millisecond, not at the loop's own bound.
+    #[test]
+    fn a_yielding_task_lets_a_due_sleep_fire() {
+        const BOUND: Duration = Duration::from_secs(2);
+        let spun = block_on(async {
+            let fired = Rc::new(Cell::new(false));
+            let seen = fired.clone();
+            let spinner = spawn(async move {
+                let start = Instant::now();
+                while !seen.get() && start.elapsed() < BOUND {
+                    yield_now().await;
+                }
+                start.elapsed()
+            });
+            sleep(Duration::from_millis(1)).await;
+            fired.set(true);
+            spinner.await
+        });
+        assert!(spun < BOUND, "the 1 ms sleep fired only after the task spun {spun:?}");
     }
 
     #[test]

@@ -47,7 +47,9 @@
 //!   loop's TIME_WAIT window until the session deadline.
 //!
 //! The loop wakes on a batch, the earliest session wake or eviction
-//! sweep, or a stop: one task and one timer, however many sessions.
+//! sweep (armed only while a session is open, so an idle daemon sleeps
+//! until a datagram lands), or a stop: one task and one timer, however
+//! many sessions.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -365,10 +367,10 @@ pub struct Server<T> {
     /// `(shard, workers)` of a sharded daemon's worker: it admits only
     /// the sessions [`shard_of`] gives it. `(0, 1)` admits every one.
     shard: (usize, usize),
-    /// Eviction sweeps ride the loop's wait so an idle daemon wakes a
-    /// few times a second — and a *busy* loop (woken per batch) still
-    /// sweeps only once per interval: the sweep is an O(open-sessions)
-    /// scan, which must not run per received batch.
+    /// Eviction sweeps ride the loop's wait while a session is open —
+    /// and a *busy* loop (woken per batch) still sweeps only once per
+    /// interval: the sweep is an O(open-sessions) scan, which must not
+    /// run per received batch.
     sweep: Duration,
     last_sweep: Instant,
 }
@@ -501,26 +503,28 @@ impl<T: Transport + 'static> Policy for Server<T> {
         }
     }
 
-    /// Slots freed by terminal-state GC since the last pass are refilled
-    /// from the parked-Start queue in arrival order — re-admission does
-    /// not wait for the coordinator's paced retry, and FIFO order keeps
-    /// sibling daemons' admitted sets aligned (see the module docs on
-    /// the cross-daemon half-admission deadlock). Then, once per sweep
-    /// interval, idle sessions are evicted.
+    /// Once per sweep interval, idle sessions are evicted. Then the slots
+    /// freed since the last pass, by eviction or terminal-state GC, are
+    /// refilled from the parked-Start queue in arrival order —
+    /// re-admission does not wait for the coordinator's paced retry,
+    /// and FIFO order keeps sibling daemons' admitted sets aligned (see
+    /// the module docs on the cross-daemon half-admission deadlock).
     fn after_pass(&mut self, table: &mut Table, now: Instant) {
+        if now.duration_since(self.last_sweep) >= self.sweep {
+            self.last_sweep = now;
+            self.registry.borrow_mut().evict_idle(table, now);
+        }
         loop {
             let popped = self.registry.borrow_mut().pop_admission(table, now);
             let Some(start) = popped else { break };
             self.launch(table, start, now);
         }
-        if now.duration_since(self.last_sweep) >= self.sweep {
-            self.last_sweep = now;
-            self.registry.borrow_mut().evict_idle(table, now);
-        }
     }
 
-    fn next_wake(&self) -> Option<Instant> {
-        Some(self.last_sweep + self.sweep)
+    /// The next eviction sweep, while a session is open: a daemon with
+    /// nothing to evict arms no timer.
+    fn next_wake(&self, table: &Table) -> Option<Instant> {
+        (table.len() > 0).then_some(self.last_sweep + self.sweep)
     }
 
     fn poll_stop(&mut self, cx: &mut Context<'_>) -> Poll<()> {

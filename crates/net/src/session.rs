@@ -1,5 +1,5 @@
 //! Shared session machinery: configuration, deterministic erasure
-//! injection, and secret reconstruction.
+//! injection, plan derivation and what both roles hold alike.
 //!
 //! # How a distributed round stays consistent
 //!
@@ -37,7 +37,6 @@ use thinair_core::phase1::owner_order;
 use thinair_core::round::XSchedule;
 use thinair_core::wire::{bitmap_from_received, received_from_bitmap, Message};
 use thinair_core::ProtocolError;
-use thinair_gf::{kernel, Gf256, PayloadPlane, RowEchelon};
 use thinair_netsim::ErasureModel;
 
 use crate::frame::{Frame, FrameError, NetPayload};
@@ -818,131 +817,6 @@ impl SessionOutcome {
             abort: Some(reason),
             trace,
         }
-    }
-}
-
-/// Incremental y/secret reconstruction for one node.
-///
-/// Directly computable rows come from the node's stored payloads; the
-/// rest accumulate fountain combos until the projected system reaches
-/// full rank, then one linear solve recovers the missing y-packets and
-/// the secret is `D·y` (identities-only: nothing about `s` ever went on
-/// the air).
-pub struct Reconstructor {
-    plan: Plan,
-    payload_len: usize,
-    /// One contiguous row per y-packet; `have[r]` marks filled rows.
-    y: PayloadPlane,
-    have: Vec<bool>,
-    missing: Vec<usize>,
-    tracker: RowEchelon,
-    combos: Vec<(Vec<u8>, Vec<u8>)>,
-}
-
-impl Reconstructor {
-    /// Builds the reconstructor for node `me` from its payload store.
-    ///
-    /// # Panics
-    /// Panics if a directly decodable row references a payload `me`
-    /// does not hold — impossible when the plan was derived from `me`'s
-    /// own report.
-    pub fn new(plan: Plan, payload_len: usize, me: u8, store: &BTreeMap<usize, Vec<u8>>) -> Self {
-        let m = plan.m();
-        let mut y = PayloadPlane::zero(m, payload_len);
-        let mut have = vec![false; m];
-        for &r in &plan.decodable[me as usize] {
-            let row = &plan.rows[r];
-            let acc = y.row_mut(r);
-            for (&j, &c) in row.support.iter().zip(row.coeffs.iter()) {
-                // lint: allow(panic): documented contract — a plan derived
-                // from `me`'s own report decodes only payloads `me` holds.
-                let p = store.get(&j).expect("decodable row references a payload this node holds");
-                kernel::axpy(acc, p, c.value());
-            }
-            have[r] = true;
-        }
-        let missing: Vec<usize> = (0..m).filter(|r| !have[*r]).collect();
-        let tracker = RowEchelon::new(missing.len());
-        Reconstructor { plan, payload_len, y, have, missing, tracker, combos: Vec::new() }
-    }
-
-    /// Rows still unknown.
-    pub fn needs(&self) -> usize {
-        self.missing.len() - self.tracker.rank()
-    }
-
-    /// Whether enough combos have been collected to solve.
-    pub fn complete(&self) -> bool {
-        self.needs() == 0
-    }
-
-    /// Projection of fountain coefficients `q` onto y-column `col`:
-    /// `(q·C)[col]`.
-    #[inline]
-    fn project(&self, q: &[u8], col: usize) -> u8 {
-        q.iter()
-            .enumerate()
-            .fold(0u8, |acc, (k, &qk)| acc ^ kernel::gf_mul(qk, self.plan.c_mat[(k, col)].value()))
-    }
-
-    /// Offers one fountain combo (coefficients over the z-packets, and
-    /// the combined payload). Returns `true` when the combo was
-    /// innovative for this node.
-    pub fn offer(&mut self, coeffs: &[u8], payload: &[u8]) -> bool {
-        if self.complete() {
-            return false;
-        }
-        let z_count = self.plan.c_mat.rows();
-        if coeffs.len() != z_count || payload.len() != self.payload_len {
-            return false; // malformed or stale combo
-        }
-        let qc: Vec<u8> = self.missing.iter().map(|&col| self.project(coeffs, col)).collect();
-        if self.tracker.insert_bytes(&qc) {
-            self.combos.push((coeffs.to_vec(), payload.to_vec()));
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Solves for the missing y-packets and returns the group secret.
-    pub fn secret(mut self, me: u8) -> Result<Vec<Payload>, NetError> {
-        if !self.missing.is_empty() {
-            if self.combos.len() < self.missing.len() {
-                return Err(NetError::Protocol(ProtocolError::DecodeFailed {
-                    terminal: me as usize,
-                    what: "not enough z combos received",
-                }));
-            }
-            let mut a = thinair_gf::Matrix::zero(0, self.missing.len());
-            let mut rhs = PayloadPlane::with_capacity(self.combos.len(), self.payload_len);
-            for (q, payload) in &self.combos {
-                let row: Vec<Gf256> =
-                    self.missing.iter().map(|&col| Gf256(self.project(q, col))).collect();
-                a.push_row(&row);
-                let mut acc = payload.clone();
-                for (j, &have_j) in self.have.iter().enumerate() {
-                    if have_j {
-                        kernel::axpy(&mut acc, self.y.row(j), self.project(q, j));
-                    }
-                }
-                rhs.push_row(&acc);
-            }
-            let solved =
-                a.solve_plane(&rhs).ok_or(NetError::Protocol(ProtocolError::DecodeFailed {
-                    terminal: me as usize,
-                    what: "y from z system",
-                }))?;
-            for (pos, &r) in self.missing.iter().enumerate() {
-                self.y.row_mut(r).copy_from_slice(solved.row(pos));
-            }
-        }
-        Ok(self.plan.d_mat.mul_plane(&self.y).to_payloads())
-    }
-
-    /// Access to the plan (for `(m, l)` checks).
-    pub fn plan(&self) -> &Plan {
-        &self.plan
     }
 }
 

@@ -6,7 +6,8 @@
 //! reports its receptions, rebuilds the coordinator's plan from the
 //! shared reports plus the announced seed, drinks from the z fountain
 //! until its missing y-rows reach full rank, derives the group secret
-//! locally, and signals `Done`.
+//! locally, and signals `Done`. The decode is core's
+//! [`Reconstructor`], the one the simulated round runs.
 //!
 //! Frames arrive in any order — a z-combo can outrun the plan
 //! announcement, a peer's report can outrun `Start` — so every handler
@@ -17,12 +18,13 @@
 
 use std::time::Instant;
 
+use thinair_core::phase2::Reconstructor;
 use thinair_core::wire::Message;
 
 use crate::demux::Machine;
 use crate::frame::{Frame, NetPayload};
-use crate::session::{derive_plan, AbortReason, Core, DataKind, Ended, NetError, Reconstructor};
-use crate::session::{SessionConfig, SessionOutcome, Stepped};
+use crate::session::{derive_plan, AbortReason, Core, DataKind, Ended, NetError, SessionConfig};
+use crate::session::{SessionOutcome, Stepped};
 use crate::transport::{SharedTransport, Transport};
 
 /// One session on a terminal.
@@ -141,7 +143,8 @@ impl<T: Transport> Terminal<T> {
             let out = c.outcome((m, 0), Vec::new());
             self.derived(out)?;
         } else {
-            let mut r = Reconstructor::new(plan, c.cfg.payload_len, c.me, &c.store);
+            let x = |j| c.store.get(&j).map(Vec::as_slice);
+            let mut r = Reconstructor::new(plan, c.cfg.payload_len, c.me as usize, x)?;
             for (coeffs, payload) in self.z_buffer.drain(..) {
                 r.offer(&coeffs, &payload);
             }
@@ -175,7 +178,7 @@ impl<T: Transport> Terminal<T> {
         // Secret derivation, once the fountain has filled the gap.
         if let Some(r) = self.recon.take_if(|r| r.complete()) {
             let (m, l) = (r.plan().m(), r.plan().l);
-            let out = self.core.outcome((m, l), r.secret(self.core.me)?);
+            let out = self.core.outcome((m, l), r.secret()?);
             self.derived(out)?;
         }
         // The terminal's phases are implicit in its state; the spans and

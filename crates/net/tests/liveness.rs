@@ -475,13 +475,16 @@ fn virtual_cfg() -> SessionConfig {
 ///
 /// After the session, 5 s of virtual time must pass in well under 1 s
 /// of wall time: a receive loop that read the wall clock would spin on
-/// a deadline already in the virtual past.
+/// a deadline already in the virtual past. And they must cost one poll
+/// and one timer fire, the sleep's own: with no session open, no loop
+/// arms a timer (two daemons sweeping for idle sessions once a second
+/// would cost 11 of each).
 #[test]
 fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
     let cfg = virtual_cfg();
     let net = SimNet::new(IidMedium::symmetric(3, 0.0, 1), 3);
     let transports: Vec<_> = (0..3).map(|i| net.transport(i)).collect();
-    let (outs, cost, idle_wall) = rt::block_on_virtual(
+    let (outs, cost, (idle, idle_wall)) = rt::block_on_virtual(
         async move {
             let mut transports = transports.into_iter();
             let coord = Node::new(transports.next().expect("coordinator transport"));
@@ -502,9 +505,9 @@ fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
                 outs.push(rx.recv().await.expect("the daemon reports its session"));
             }
             let cost = rt::metrics().delta(&before);
-            let wall = Instant::now();
+            let (before, wall) = (rt::metrics(), Instant::now());
             rt::sleep(Duration::from_secs(5)).await;
-            (outs, cost, wall.elapsed())
+            (outs, cost, (rt::metrics().delta(&before), wall.elapsed()))
         },
         Instant::now(),
         &mut || false,
@@ -534,6 +537,7 @@ fn one_session_costs_a_bounded_number_of_polls_and_timer_fires() {
         idle_wall < Duration::from_secs(1),
         "5 s of virtual time took {idle_wall:?} of wall time"
     );
+    assert_eq!((idle.task_polls, idle.timer_fires), (1, 1), "5 idle seconds");
 }
 
 /// A saturated start: 1 000 sessions launched at once fill the
