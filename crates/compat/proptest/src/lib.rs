@@ -299,7 +299,7 @@ pub mod collection {
     use rand::rngs::StdRng;
     use rand::Rng;
 
-    /// Acceptable size arguments for [`vec`].
+    /// Acceptable size arguments for [`vec()`].
     #[derive(Clone, Debug)]
     pub struct SizeRange {
         lo: usize,
@@ -325,7 +325,7 @@ pub mod collection {
         }
     }
 
-    /// The strategy returned by [`vec`].
+    /// The strategy returned by [`vec()`].
     pub struct VecStrategy<S> {
         elem: S,
         size: SizeRange,

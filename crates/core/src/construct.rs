@@ -1,5 +1,5 @@
 //! The y/z/s-packet construction — our realization of the paper's
-//! "well-defined construction [9]".
+//! "well-defined construction \[9\]".
 //!
 //! # What must hold
 //!

@@ -1,4 +1,4 @@
-//! The field GF(2^8) = GF(2)[x] / (x^8 + x^4 + x^3 + x^2 + 1).
+//! The field GF(2^8) = GF(2)\[x\] / (x^8 + x^4 + x^3 + x^2 + 1).
 //!
 //! Elements are bytes; addition is XOR; multiplication uses compile-time
 //! exp/log tables over the primitive element `α = 2`. The reduction
@@ -58,9 +58,9 @@ pub const LOG: [u8; 256] = build_log(&EXP);
 /// An element of GF(2^8).
 ///
 /// The wrapper is `#[repr(transparent)]`, so slices of `Gf256` and slices
-/// of `u8` have identical layout; [`Gf256::slice_from_bytes_mut`]-style
-/// conversions are nevertheless done safely via iteration because this
-/// crate forbids `unsafe`.
+/// of `u8` have identical layout; conversions between them are
+/// nevertheless done safely via iteration because this crate forbids
+/// `unsafe`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 #[repr(transparent)]
 pub struct Gf256(pub u8);

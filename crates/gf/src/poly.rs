@@ -10,7 +10,7 @@ use crate::gf256::Gf256;
 ///
 /// The zero polynomial is represented by an empty coefficient vector;
 /// non-zero polynomials keep a non-zero leading coefficient (enforced by
-/// [`Poly::normalize`] after every operation).
+/// `Poly::normalize` after every operation).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct Poly {
     coeffs: Vec<Gf256>,

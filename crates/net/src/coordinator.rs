@@ -243,26 +243,23 @@ impl<T: Transport> Coordinator<T> {
                     return Ok(Some(self.abort(reason)));
                 }
                 // The first burst covers the worst-case missing-row count
-                // (as far as the budget allows); each top-up after it is
-                // one combo.
+                // (as far as the budget allows) and leaves in one batch;
+                // each top-up after it is one combo.
                 let burst = if round == 0 { (self.z.rows() + 3) as u32 } else { 1 };
-                for _ in 0..burst.min(budget - self.z_sent) {
-                    // Combo indices ride the wire as u16; a fountain that
-                    // outlives the index space (only reachable with
-                    // z_budget > 65536) aborts cleanly instead of
-                    // wrapping — a wrapped index would collide
-                    // erasure-injection decisions.
-                    let Ok(index) = u16::try_from(self.z_sent) else {
-                        let (value, limit) = (self.z_sent as u64, u16::MAX as u64);
-                        let what = "fountain index";
-                        return Ok(Some(self.abort(AbortReason::PlanOverflow {
-                            what,
-                            value,
-                            limit,
-                        })));
-                    };
-                    self.send_combo(index)?;
-                    self.z_sent += 1;
+                let end = self.z_sent + burst.min(budget - self.z_sent);
+                // Combo indices ride the wire as u16; a fountain that
+                // outlives the index space (only reachable with z_budget
+                // > 65536) sends the combos below it, then aborts cleanly
+                // instead of wrapping — a wrapped index would collide
+                // erasure-injection decisions.
+                let indices = (self.z_sent..end).map_while(|i| u16::try_from(i).ok());
+                let combos: Vec<Frame> = indices.map(|index| self.combo(index)).collect();
+                self.core.t.broadcast_batch(&combos)?;
+                self.z_sent += combos.len() as u32;
+                if self.z_sent < end {
+                    let (value, limit) = (self.z_sent as u64, u16::MAX as u64);
+                    let what = "fountain index";
+                    return Ok(Some(self.abort(AbortReason::PlanOverflow { what, value, limit })));
                 }
                 let next_combo = now + self.top_up_delay(round);
                 self.phase = Phase::Fountain { next_combo, round: round + 1 };
@@ -331,11 +328,10 @@ impl<T: Transport> Coordinator<T> {
         rto.saturating_mul(2u32.saturating_pow(round)).min(rto.max(self.core.cfg.retransmit))
     }
 
-    /// Broadcasts fountain combo `index`: a random non-zero combination
-    /// of the z-packets, innovative for every needy receiver with
-    /// overwhelming probability (the receiver's rank tracker is the
-    /// ground truth).
-    fn send_combo(&mut self, index: u16) -> Result<(), NetError> {
+    /// Fountain combo `index`: a random non-zero combination of the
+    /// z-packets, innovative for every needy receiver with overwhelming
+    /// probability (the receiver's rank tracker is the ground truth).
+    fn combo(&mut self, index: u16) -> Frame {
         let c = &mut self.core;
         let mut coeffs: Vec<u8> = (0..self.z.rows()).map(|_| c.rng.gen()).collect();
         if coeffs.iter().all(|&q| q == 0) {
@@ -353,8 +349,7 @@ impl<T: Transport> Coordinator<T> {
         // timing-dependent too.
         let (sender, session, seq) = (c.me, c.session, index as u32);
         let payload = NetPayload::Proto(Message::ZPacket { index, coeffs, payload });
-        c.t.broadcast(&Frame { flags: 0, sender, session, seq, payload })?;
-        Ok(())
+        Frame { flags: 0, sender, session, seq, payload }
     }
 
     fn advance(&mut self, frame: Option<Frame>, now: Instant) -> Stepped {
@@ -382,5 +377,51 @@ impl<T: Transport> Machine for Coordinator<T> {
             _ => None,
         };
         self.core.wake(timer)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::frame::NetPayload;
+    use crate::transport::SimNet;
+    use thinair_netsim::IidMedium;
+
+    /// A first burst that runs past the u16 fountain-index space sends
+    /// the combos below it before it aborts, and `z_sent` counts only
+    /// the combos that went out.
+    #[test]
+    fn a_burst_cut_short_by_index_overflow_sends_what_it_built() {
+        let net = SimNet::new(IidMedium::symmetric(2, 0.0, 1), 2);
+        let cfg = SessionConfig { n_nodes: 2, z_budget: 70_000, ..SessionConfig::default() };
+        let t = SharedTransport::new(net.transport(0));
+        let mut c = Coordinator::new(t, SharedFlow::default(), 1, cfg, 7).unwrap();
+        let sent_before = net.frames_transmitted();
+        // Five z rows: a first burst of 8 combos, of which the indices
+        // 65 530..=65 535 fit.
+        c.z = PayloadPlane::zero(5, 32);
+        c.z_sent = u16::MAX as u32 - 5;
+        let now = crate::rt::now();
+        c.phase = Phase::Fountain { next_combo: now, round: 0 };
+        let out = c.progress(now).unwrap().expect("the overflow ends the session");
+        let overflow = AbortReason::PlanOverflow {
+            what: "fountain index",
+            value: u16::MAX as u64 + 1,
+            limit: u16::MAX as u64,
+        };
+        assert_eq!(out.abort, Some(overflow));
+        assert_eq!(out.trace.unwrap().z_sent, u16::MAX as u32 + 1);
+        assert_eq!(net.frames_transmitted() - sent_before, 6);
+        let rx = SharedTransport::new(net.transport(1));
+        let got = crate::rt::block_on(rx.recv_batch(crate::transport::DEFAULT_RECV_BATCH));
+        let combos: Vec<u16> = got
+            .unwrap()
+            .iter()
+            .filter_map(|f| match f.payload {
+                NetPayload::Proto(Message::ZPacket { index, .. }) => Some(index),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(combos, (u16::MAX - 5..=u16::MAX).collect::<Vec<_>>());
     }
 }

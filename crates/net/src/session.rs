@@ -578,8 +578,9 @@ impl<T: Transport> Core<T> {
     }
 
     /// Broadcasts this node's share of the x-pool (plain,
-    /// unacknowledged: erasures are the point).
+    /// unacknowledged: erasures are the point), in one batch.
     pub fn broadcast_own(&mut self) -> Result<(), NetError> {
+        let mut frames = Vec::new();
         for (id, &o) in self.owners.iter().enumerate() {
             if o != self.me as usize {
                 continue;
@@ -590,8 +591,9 @@ impl<T: Transport> Core<T> {
             self.store.insert(id, payload);
             let seq = self.rel.next_seq();
             let (sender, session, payload) = (self.me, self.session, NetPayload::Proto(msg));
-            self.t.broadcast(&Frame { flags: 0, sender, session, seq, payload })?;
+            frames.push(Frame { flags: 0, sender, session, seq, payload });
         }
+        self.t.broadcast_batch(&frames)?;
         Ok(())
     }
 

@@ -16,6 +16,21 @@
 //! Frames that fail to decode are dropped at this layer (counted, not
 //! propagated): a malformed datagram must never wedge a session.
 //!
+//! # Batched sends
+//!
+//! [`Transport::broadcast_batch`] hands a transport several frames for
+//! every peer at once: a node's x-packets, and the coordinator's first
+//! fountain burst. Its default is one `broadcast` per frame, which the
+//! simulator, the chaos layer and the explorer keep. [`UdpTransport`]
+//! sends every datagram through one routine over
+//! [`crate::sys::send_batch`] (`sendmmsg(2)`): a `send_to` is one
+//! datagram, a `broadcast` n − 1 and a batch of k frames k·(n − 1),
+//! grouped by peer with the frames in order. The wire does not change
+//! (the same datagrams, the same bytes, the same order at each peer),
+//! but each peer's socket receives its burst back to back and its
+//! receive loop drains it in one wakeup. `net.tx.calls` counts the
+//! system calls, `net.tx.frames` the datagrams they carried.
+//!
 //! # Wakeups
 //!
 //! Both transports integrate with the waker-based executor in
@@ -30,9 +45,9 @@
 //! A UDP send can fail (full socket buffer, transient network error).
 //! The session hot path must neither crash on those — the
 //! retransmission layer absorbs them like any other loss — nor let them
-//! vanish: [`UdpTransport`] counts every failed or dropped send into a
-//! [`TxStats`] send-error ledger, surfaced through
-//! [`Transport::send_errors`] and, per session, in
+//! vanish: [`UdpTransport`] counts every datagram the kernel refuses,
+//! batched or not, once into a [`TxStats`] send-error ledger, surfaced
+//! through [`Transport::send_errors`] and, per session, in
 //! [`crate::session::SessionTrace`].
 
 use std::cell::RefCell;
@@ -77,6 +92,13 @@ pub trait Transport {
             }
         }
         Ok(())
+    }
+
+    /// Sends `frames` to every peer, each peer receiving them in order:
+    /// the same datagrams as one [`Transport::broadcast`] per frame (the
+    /// default), which a socket transport hands the kernel at once.
+    fn broadcast_batch(&mut self, frames: &[Frame]) -> io::Result<()> {
+        frames.iter().try_for_each(|frame| self.broadcast(frame))
     }
 
     /// Polls for the next valid frame addressed to this node. On
@@ -157,9 +179,9 @@ impl<T: Transport> SharedTransport<T> {
         self.inner.borrow_mut().send_to(to, frame)
     }
 
-    /// Sends a frame to every peer.
-    pub fn broadcast(&self, frame: &Frame) -> io::Result<()> {
-        self.inner.borrow_mut().broadcast(frame)
+    /// Sends `frames` to every peer, in order.
+    pub fn broadcast_batch(&self, frames: &[Frame]) -> io::Result<()> {
+        self.inner.borrow_mut().broadcast_batch(frames)
     }
 
     /// Datagrams dropped by frame validation.
@@ -224,8 +246,8 @@ const UDP_POLL_MAX: Duration = Duration::from_millis(1);
 /// Keeps a [`TxStats`] ledger mirroring the simulator's accounting:
 /// transmitted bits by class (data / control / ack, keyed off the frame
 /// payload) plus the send-error counters — every datagram the socket
-/// refused or dropped is charged to the *destination* node, so a flaky
-/// peer link shows up in the ledger instead of vanishing.
+/// refused is charged to the *destination* node, so a flaky peer link
+/// shows up in the ledger instead of vanishing.
 pub struct UdpTransport {
     socket: AsyncUdpSocket,
     peers: Vec<SocketAddr>,
@@ -290,29 +312,41 @@ impl UdpTransport {
         &self.stats
     }
 
-    /// Sends `bytes` (the encoded `frame`) to peer `to`, charging the
-    /// ledger. Transient socket failures are counted, not propagated:
-    /// the reliable layer treats them as loss. Only a roster violation
-    /// is a hard error.
-    fn send_bytes(&mut self, to: u8, frame: &Frame, bytes: &[u8]) -> io::Result<()> {
-        let addr = *self
-            .peers
-            .get(to as usize)
-            .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "peer outside roster"))?;
-        match self.socket.send_to(bytes, addr) {
-            // `Ok(0)` is the socket's "buffer full, datagram dropped".
-            Ok(0) => {
-                self.stats.record_send_error(to as usize);
-                crate::telemetry::counter_add("net.tx.send_errors", 1);
-            }
-            Ok(_) => {
+    /// The one send routine: every frame of `frames` to every node of
+    /// `to`, grouped by node with the frames in order, in one
+    /// [`AsyncUdpSocket::send_batch`]. A datagram the socket refuses is
+    /// charged to its destination in the ledger, not propagated: the
+    /// reliable layer treats it as loss. Only a roster violation is a
+    /// hard error.
+    fn send(&mut self, frames: &[Frame], to: &[usize]) -> io::Result<()> {
+        let encoded: Vec<_> = frames.iter().map(Frame::encode).collect();
+        let mut datagrams: Vec<(&[u8], SocketAddr)> = Vec::with_capacity(to.len() * frames.len());
+        for &peer in to {
+            let addr = *self.peers.get(peer).ok_or_else(|| {
+                io::Error::new(io::ErrorKind::InvalidInput, "peer outside roster")
+            })?;
+            datagrams.extend(encoded.iter().map(|bytes| (&bytes[..], addr)));
+        }
+        if datagrams.is_empty() {
+            return Ok(());
+        }
+        let sent = self.socket.send_batch(&datagrams);
+        let mut refused = sent.refused.iter().copied().peekable();
+        let dests = to.iter().flat_map(|&peer| frames.iter().map(move |frame| (peer, frame)));
+        for (i, ((peer, frame), (bytes, _))) in dests.zip(&datagrams).enumerate() {
+            if refused.next_if_eq(&i).is_some() {
+                self.stats.record_send_error(peer);
+            } else {
                 self.stats.record(self.node as usize, frame.tx_class(), (bytes.len() * 8) as u64);
-                crate::telemetry::counter_add("net.tx.frames", 1);
             }
-            Err(_) => {
-                self.stats.record_send_error(to as usize);
-                crate::telemetry::counter_add("net.tx.send_errors", 1);
-            }
+        }
+        let errors = sent.refused.len() as u64;
+        crate::telemetry::counter_add("net.tx.calls", sent.calls);
+        if errors < datagrams.len() as u64 {
+            crate::telemetry::counter_add("net.tx.frames", datagrams.len() as u64 - errors);
+        }
+        if errors > 0 {
+            crate::telemetry::counter_add("net.tx.send_errors", errors);
         }
         Ok(())
     }
@@ -328,20 +362,19 @@ impl Transport for UdpTransport {
     }
 
     fn send_to(&mut self, to: u8, frame: &Frame) -> io::Result<()> {
-        let bytes = frame.encode();
-        self.send_bytes(to, frame, &bytes)
+        self.send(std::slice::from_ref(frame), &[to as usize])
     }
 
     fn broadcast(&mut self, frame: &Frame) -> io::Result<()> {
-        // Encode once; fan the same bytes out to every peer. Iterate in
-        // usize: `len() as u8` wraps to 0 on a full 256-node roster.
-        let bytes = frame.encode();
-        for peer in 0..self.peers.len() {
-            if peer != self.node as usize {
-                self.send_bytes(peer as u8, frame, &bytes)?;
-            }
-        }
-        Ok(())
+        self.broadcast_batch(std::slice::from_ref(frame))
+    }
+
+    fn broadcast_batch(&mut self, frames: &[Frame]) -> io::Result<()> {
+        // Iterate in usize: `len() as u8` wraps to 0 on a full 256-node
+        // roster.
+        let me = self.node as usize;
+        let peers: Vec<usize> = (0..self.peers.len()).filter(|&p| p != me).collect();
+        self.send(frames, &peers)
     }
 
     fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<io::Result<Frame>> {
@@ -898,8 +931,8 @@ mod tests {
             let b_addr = b.local_addr().unwrap();
             let tb = UdpTransport::new(b, vec![a_addr, b_addr], 1);
             // Garbage first, then a valid frame.
-            a.send_to(b"not a frame at all", b_addr).unwrap();
-            a.send_to(&frame(0, 3).encode(), b_addr).unwrap();
+            let valid = frame(0, 3).encode();
+            a.send_batch(&[(b"not a frame at all", b_addr), (&valid, b_addr)]);
             let shared = SharedTransport::new(tb);
             let got = rt::timeout(std::time::Duration::from_secs(2), shared.recv_batch(1))
                 .await
@@ -908,6 +941,31 @@ mod tests {
             assert_eq!(got[0].seq, 3);
             assert_eq!(shared.invalid_frames(), 1);
         });
+    }
+
+    /// Binds `n` loopback sockets.
+    fn sockets(n: usize) -> (Vec<AsyncUdpSocket>, Vec<SocketAddr>) {
+        let socks: Vec<_> = (0..n).map(|_| AsyncUdpSocket::bind("127.0.0.1:0").unwrap()).collect();
+        let addrs = socks.iter().map(|s| s.local_addr().unwrap()).collect();
+        (socks, addrs)
+    }
+
+    /// The seqs of the next `n` frames `sock` receives, in arrival order.
+    fn recv_seqs(sock: &AsyncUdpSocket, n: usize) -> Vec<u32> {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        let mut buf = [0u8; 256];
+        let mut seqs = Vec::new();
+        while seqs.len() < n {
+            match sock.try_recv_from(&mut buf).unwrap() {
+                Some((len, _)) => seqs.push(Frame::decode(&buf[..len]).unwrap().seq),
+                None => assert!(Instant::now() < deadline, "only {seqs:?} arrived"),
+            }
+        }
+        seqs
+    }
+
+    fn tx_counter(name: &str) -> u64 {
+        crate::telemetry::snapshot().counters.get(name).copied().unwrap_or(0)
     }
 
     #[test]
@@ -924,5 +982,56 @@ mod tests {
         assert_eq!(t.stats().send_errors(1), 1);
         // A roster violation is still a hard error.
         assert!(t.send_to(9, &frame(0, 1)).is_err());
+
+        // A batch whose middle peer refuses every datagram: each refusal
+        // counts once, against that peer, and the real peers still
+        // receive every frame, in order.
+        let (socks, addrs) = sockets(3);
+        let roster = vec![addrs[0], addrs[1], bogus, addrs[2]];
+        let mut t = UdpTransport::new(socks[0].try_clone().unwrap(), roster, 0);
+        let frames: Vec<Frame> = (1..=3).map(|seq| frame(0, seq)).collect();
+        t.broadcast_batch(&frames).expect("send errors must not kill the session");
+        assert_eq!(t.send_errors(), 3);
+        assert_eq!(t.stats().send_errors(2), 3);
+        assert_eq!(recv_seqs(&socks[1], 3), vec![1, 2, 3]);
+        assert_eq!(recv_seqs(&socks[2], 3), vec![1, 2, 3]);
+    }
+
+    /// The ledger cannot tell a batch from the same frames broadcast one
+    /// by one: the same bits by class, the same `net.tx.frames`.
+    #[test]
+    fn udp_broadcast_batch_ledger_matches_per_frame_broadcasts() {
+        let (socks, addrs) = sockets(4);
+        let frames: Vec<Frame> = (1..=5).map(|seq| frame(0, seq)).collect();
+        let ledger = |batch: bool| {
+            let mut t = UdpTransport::new(socks[0].try_clone().unwrap(), addrs.clone(), 0);
+            let before = tx_counter("net.tx.frames");
+            if batch {
+                t.broadcast_batch(&frames).unwrap();
+            } else {
+                frames.iter().for_each(|f| t.broadcast(f).unwrap());
+            }
+            let bits: Vec<u64> =
+                thinair_netsim::stats::ALL_CLASSES.iter().map(|&c| t.stats().of(0, c)).collect();
+            (bits, tx_counter("net.tx.frames") - before, t.send_errors())
+        };
+        let one_by_one = ledger(false);
+        assert_eq!(one_by_one.1, 15);
+        assert_eq!(ledger(true), one_by_one);
+    }
+
+    /// `net.tx.calls` counts system calls: a 12-frame batch to two peers
+    /// is one call carrying 24 datagrams.
+    #[test]
+    fn udp_broadcast_batch_is_one_call() {
+        let (socks, addrs) = sockets(3);
+        let mut t = UdpTransport::new(socks[0].try_clone().unwrap(), addrs, 0);
+        let frames: Vec<Frame> = (1..=12).map(|seq| frame(0, seq)).collect();
+        let (calls, sent) = (tx_counter("net.tx.calls"), tx_counter("net.tx.frames"));
+        t.broadcast_batch(&frames).unwrap();
+        assert_eq!(tx_counter("net.tx.calls") - calls, 1);
+        assert_eq!(tx_counter("net.tx.frames") - sent, 24);
+        assert_eq!(recv_seqs(&socks[1], 12), (1..=12).collect::<Vec<_>>());
+        assert_eq!(recv_seqs(&socks[2], 12), (1..=12).collect::<Vec<_>>());
     }
 }

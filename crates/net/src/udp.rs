@@ -54,16 +54,15 @@ impl AsyncUdpSocket {
         self.inner.local_addr()
     }
 
-    /// Sends one datagram. UDP sends don't meaningfully block; a full
-    /// socket buffer drops the datagram (reported as `Ok(0)`), which
-    /// the retransmission layer absorbs like any other loss —
-    /// [`crate::transport::UdpTransport`] counts both that and outright
-    /// send errors into its send-error ledger so they never vanish.
-    pub fn send_to(&self, buf: &[u8], addr: SocketAddr) -> io::Result<usize> {
-        match self.inner.send_to(buf, addr) {
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(0),
-            other => other,
-        }
+    /// Sends each `(bytes, to)` datagram, in order, in as few system
+    /// calls as the kernel allows ([`crate::sys::send_batch`]). UDP sends
+    /// don't meaningfully block: a full socket buffer drops a datagram,
+    /// which the kernel reports as refused, like an outright send error.
+    /// The retransmission layer absorbs both like any other loss, and
+    /// [`crate::transport::UdpTransport`] counts each refused datagram
+    /// into its send-error ledger so none vanishes.
+    pub fn send_batch(&self, datagrams: &[(&[u8], SocketAddr)]) -> crate::sys::BatchSent {
+        crate::sys::send_batch(&self.inner, datagrams)
     }
 
     /// Non-blocking receive: `Ok(None)` when no datagram is queued.
@@ -89,7 +88,7 @@ mod tests {
         let a = AsyncUdpSocket::bind("127.0.0.1:0").unwrap();
         let b = AsyncUdpSocket::bind("127.0.0.1:0").unwrap();
         let b_addr = b.local_addr().unwrap();
-        a.send_to(b"hello", b_addr).unwrap();
+        assert!(a.send_batch(&[(b"hello", b_addr)]).refused.is_empty());
         let mut buf = [0u8; 16];
         // Poll until delivery (loopback is effectively instant).
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(2);

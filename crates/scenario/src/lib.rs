@@ -17,7 +17,7 @@
 //!    ([`run::run_scenario`] → [`thinair_net::driver::drive_sim`]).
 //! 4. **Audit** every session offline: rebuild the coordinator's plan
 //!    from its [`thinair_net::SessionTrace`], score the achieved `(l, m)`
-//!    against [`thinair_model::predict`]'s fluid-limit optimum, and feed
+//!    against [`thinair_model::predict()`]'s fluid-limit optimum, and feed
 //!    a ground-truth [`thinair_core::eve::EveLedger`] from Eve's
 //!    deterministic reception patterns to compute the paper's
 //!    reliability metric exactly.

@@ -11,7 +11,7 @@
 //!   the protocol regresses).
 //! * **Model** — the coordinator's [`SessionTrace`] re-derives the plan,
 //!   and the achieved `(l, m)` become a measured efficiency comparable
-//!   to [`thinair_model::predict`]'s fluid-limit optimum.
+//!   to [`thinair_model::predict()`]'s fluid-limit optimum.
 //! * **Eve** — each antenna's deterministic reception pattern feeds a
 //!   ground-truth [`EveLedger`]; together with the published z-rows it
 //!   scores the paper's *reliability* metric exactly.

@@ -239,7 +239,7 @@ impl ServeWaveResult {
 
 /// Runs one wave: builds the nodes, launches the load, audits every
 /// session, measures the runtime. Waves with `workers > 1` run the
-/// sharded path ([`run_sharded_wave`] internally): every node split
+/// sharded path (`run_sharded_wave` internally): every node split
 /// across worker threads with per-shard runtimes and `SO_REUSEPORT`
 /// sockets.
 pub fn run_serve_wave(spec: &ServeWaveSpec) -> Result<ServeWaveResult, ScenarioError> {

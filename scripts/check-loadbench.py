@@ -5,7 +5,8 @@ loadbench prints a `context: {...}` line naming each workload before
 running it, and ends each workload with a JSON result line. A run exits 0
 even when a result reads `"correct": false`; this check fails instead
 when any workload is missing its result, reports `"correct": false` or
-`"failed"` > 0, or spends more wire bytes per session than its ceiling.
+`"failed"` > 0, or spends more wire bytes or executor polls per session
+than its ceiling.
 
 Each workload's `check:` lines (generator lag, Little's law, byte
 ledgers) are echoed, and an invalid result's `INVALID:` lines are copied
@@ -23,6 +24,14 @@ import sys
 # Ceiling on `wire_bytes_per_session`, per workload. steady measures
 # about 1 340 with the v2 frame codec; the v1 envelope spent about 2 015.
 WIRE_BYTES_CEILING = {"steady": 1450}
+
+# Ceiling on `polls_per_session`, per workload. With each x-packet burst
+# and the fountain's first burst sent in one `sendmmsg`, steady's
+# `--seed 1 --seconds 3` run read 15.9-17.8 over 12 runs on a 2-CPU box;
+# one `sendto` per datagram read 21.8-24.6 (and once 16.7, on a busy
+# host, where the daemons woke late and drained more per wakeup). The
+# ceiling sits midway.
+POLLS_CEILING = {"steady": 19.8}
 
 EXPECTED = ("steady", "burst", "sharded")
 
@@ -65,10 +74,17 @@ def check(lines):
         if r["failed"] > 0:
             problems.append(f"{name}: {r['failed']} failed sessions")
         wire = r["metrics"]["wire_bytes_per_session"]["value"]
+        polls = r["metrics"]["polls_per_session"]["value"]
+        print(
+            f"{name}: correct={r['correct']} failed={r['failed']} "
+            f"wire_bytes={wire:.1f} polls={polls:.2f}"
+        )
         ceiling = WIRE_BYTES_CEILING.get(name)
-        print(f"{name}: correct={r['correct']} failed={r['failed']} wire_bytes={wire:.1f}")
         if ceiling is not None and wire > ceiling:
             problems.append(f"{name}: wire_bytes_per_session {wire:.1f} > {ceiling}")
+        ceiling = POLLS_CEILING.get(name)
+        if ceiling is not None and polls > ceiling:
+            problems.append(f"{name}: polls_per_session {polls:.2f} > {ceiling}")
     return problems
 
 

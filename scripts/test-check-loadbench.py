@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""Self-test of check-loadbench.py on three fixture logs.
+"""Self-test of check-loadbench.py on four fixture logs.
 
-`fixtures/loadbench-pass.out` is a real `--workload all --seconds 3` run.
-`loadbench-invalid.out` is the same run with steady failing Little's law
-and burst failing the generator-lag check. `loadbench-missing.out` stops
-before sharded's result line. The check must pass the first, and fail
-the other two, saying why.
+`fixtures/loadbench-pass.out` is a real `--workload all --seed 1
+--seconds 3` run. `loadbench-invalid.out` is the same run with steady
+failing Little's law and burst failing the generator-lag check.
+`loadbench-missing.out` stops before sharded's result line.
+`loadbench-polls.out` is a real run of the same size from before the
+data-plane bursts were batched: steady spends more executor polls per
+session than its ceiling. The check must pass the first, and fail the
+other three, saying why.
 
 Usage:
     scripts/test-check-loadbench.py
@@ -23,9 +26,9 @@ CASES = [
         "loadbench-pass.out",
         0,
         [
-            "steady: check: generator lag p99 1.350 ms (limit 20 ms)",
-            "burst: check: Little's law hold 120.797 ms vs serve.session_us mean 121.124 ms (-0.27 %)",
-            "sharded: correct=True failed=0 wire_bytes=1037.8",
+            "steady: check: generator lag p99 1.322 ms (limit 20 ms)",
+            "burst: check: Little's law hold 121.447 ms vs serve.session_us mean 121.242 ms (+0.17 %)",
+            "sharded: correct=True failed=0 wire_bytes=1037.8 polls=21.20",
         ],
         [],
     ),
@@ -46,8 +49,14 @@ CASES = [
     (
         "loadbench-missing.out",
         1,
-        ["sharded: check: generator lag p99 1.974 ms (limit 20 ms)"],
+        ["sharded: check: generator lag p99 1.440 ms (limit 20 ms)"],
         ["loadbench check: sharded: no result line"],
+    ),
+    (
+        "loadbench-polls.out",
+        1,
+        ["steady: correct=True failed=0 wire_bytes=1295.1 polls=25.27"],
+        ["loadbench check: steady: polls_per_session 25.27 > 19.8"],
     ),
 ]
 
